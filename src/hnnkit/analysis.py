@@ -19,6 +19,7 @@ from .calculus import (
     DomainError,
     HnnWord,
     NormalForm,
+    VerificationError,
     base_word,
     britton_reduce,
     conjugate,
@@ -55,10 +56,6 @@ __all__ = [
 ICC = "ICC"
 NOT_ICC = "NOT_ICC"
 EMPIRICAL = "EMPIRICAL"
-
-
-class VerificationError(ValueError):
-    """A certificate failed its own consistency check (arithmetic bug)."""
 
 
 class HypothesisViolationError(ValueError):

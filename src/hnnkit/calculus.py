@@ -12,6 +12,16 @@ reduction (pinch removal), the normal form with canonical representatives,
 multiplication, inversion, conjugation, equality, cyclic reduction with an
 explicit conjugator certificate, and the iterated partial maps phi^j.
 
+Reduced words are an invariant that holds by construction.  :func:`mul`,
+:func:`inv`, :func:`britton_reduce`, the word of :func:`normalize` and
+``VertexLabel.word()`` in :mod:`hnnkit.tree` return words marked pinch-free.
+A word built directly with ``HnnWord(...)`` (or by :func:`parse_word`) is
+treated as unreduced.  ``mul`` reduces an unmarked operand first; it then
+cancels pinches only at the seam, because by Britton's lemma (Lyndon-Schupp,
+*Combinatorial Group Theory*, IV.2) no pinch can form anywhere else in the
+product of two reduced words.  ``inv`` of a marked word and
+``britton_reduce`` of a marked word do no reduction at all.
+
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
 """
@@ -19,7 +29,7 @@ calculus is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 __all__ = [
     "BaseOracle",
@@ -27,6 +37,7 @@ __all__ = [
     "NormalForm",
     "WordParseError",
     "DomainError",
+    "VerificationError",
     "UnboundedIndexError",
     "identity_word",
     "base_word",
@@ -57,6 +68,11 @@ class WordParseError(ValueError):
 
 class DomainError(ValueError):
     """phi or phi^-1 was queried outside its domain."""
+
+
+class VerificationError(ValueError):
+    """A certificate or internal invariant failed its own consistency check
+    (arithmetic bug)."""
 
 
 class UnboundedIndexError(ValueError):
@@ -177,6 +193,10 @@ class HnnWord:
     head: Any
     tail: tuple[tuple[int, Any], ...] = ()
 
+    # Not a field: True only on words this package built pinch-free (see
+    # _reduced_word).  A word built directly is treated as unreduced.
+    _reduced = False
+
     def key(self) -> tuple:
         return (self.head, self.tail)
 
@@ -232,8 +252,15 @@ def stable_word(oracle: BaseOracle, sign: int = 1, count: int = 1) -> HnnWord:
     return HnnWord(oracle, e, ((sign, e),) * count)
 
 
+def _reduced_word(oracle: BaseOracle, head, tail: tuple) -> HnnWord:
+    """A word marked pinch-free; the caller guarantees that it is."""
+    w = HnnWord(oracle, head, tail)
+    object.__setattr__(w, "_reduced", True)
+    return w
+
+
 def _same_oracle(u: HnnWord, v: HnnWord) -> BaseOracle:
-    if u.oracle != v.oracle:
+    if u.oracle is not v.oracle and u.oracle != v.oracle:
         raise ValueError("words belong to different oracles")
     return u.oracle
 
@@ -268,16 +295,54 @@ def _reduce(oracle: BaseOracle, head, tail):
     return head, tuple(stack)
 
 
+def _seam(oracle: BaseOracle, head, tail, vhead, vtail):
+    """Product of two pinch-free words given as ``(head, tail)`` pairs.
+
+    A pinch can form only where the words meet, so cancel there, one pair
+    of stable letters at a time, and stop at the first pair that does not
+    cancel.  The result is the one :func:`_reduce` gives on the
+    concatenated token stream.
+    """
+    omul = oracle.mul
+    i, j, n = len(tail), 0, len(vtail)
+    mid = omul(tail[-1][1] if i else head, vhead)
+    while i and j < n:
+        sign = tail[i - 1][0]
+        vsign, elem = vtail[j]
+        if sign == -1 and vsign == 1 and oracle.in_H(mid):
+            mid = oracle.phi(mid)
+        elif sign == 1 and vsign == -1 and oracle.in_K(mid):
+            mid = oracle.phi_inv(mid)
+        else:
+            break
+        i -= 1
+        j += 1
+        mid = omul(tail[i - 1][1] if i else head, omul(mid, elem))
+    if not i:
+        return mid, vtail[j:]
+    return head, tail[: i - 1] + ((tail[i - 1][0], mid),) + vtail[j:]
+
+
+def _pinch_free(w: HnnWord):
+    """``(head, tail)`` of the reduced form of ``w``."""
+    if w._reduced:
+        return w.head, w.tail
+    return _reduce(w.oracle, w.head, w.tail)
+
+
 def britton_reduce(w: HnnWord) -> HnnWord:
     """Remove every pinch ``t^-1 h t`` (h in H) and ``t k t^-1`` (k in K).
 
     Returns a pinch-free word representing the same group element; adjacent
-    base elements are merged eagerly.  Idempotent and total.
+    base elements are merged eagerly.  Idempotent and total.  A word that
+    is already pinch-free is returned as it is.
     """
+    if w._reduced:
+        return w
     head, tail = _reduce(w.oracle, w.head, w.tail)
     if head == w.head and tail == w.tail:
         return w
-    return HnnWord(w.oracle, head, tail)
+    return _reduced_word(w.oracle, head, tail)
 
 
 def length(w: HnnWord) -> int:
@@ -285,37 +350,30 @@ def length(w: HnnWord) -> int:
     return len(britton_reduce(w).tail)
 
 
-def _concat(oracle: BaseOracle, words: Iterable[HnnWord]):
-    """Token-level concatenation with eager merging; no reduction."""
-    head = oracle.identity
-    tail: list[tuple[int, Any]] = []
-    for w in words:
-        if tail:
-            psign, pelem = tail[-1]
-            tail[-1] = (psign, oracle.mul(pelem, w.head))
-        else:
-            head = oracle.mul(head, w.head)
-        tail.extend(w.tail)
-    return head, tail
-
-
 def mul(u: HnnWord, v: HnnWord) -> HnnWord:
-    """Product ``u * v``, Britton-reduced."""
+    """Product ``u * v``, Britton-reduced.
+
+    An operand that is not marked reduced is reduced first; the two reduced
+    factors are then joined by seam-only cancellation.
+    """
     oracle = _same_oracle(u, v)
-    head, tail = _concat(oracle, (u, v))
-    head, tail = _reduce(oracle, head, tail)
-    return HnnWord(oracle, head, tuple(tail))
+    return _reduced_word(oracle, *_seam(oracle, *_pinch_free(u), *_pinch_free(v)))
 
 
 def inv(u: HnnWord) -> HnnWord:
-    """Formal inverse (reverse, negate signs, invert base letters), reduced."""
+    """Formal inverse (reverse, negate signs, invert base letters), reduced.
+
+    The formal inverse of a pinch-free word is pinch-free, so only an
+    unmarked word is reduced.
+    """
     oracle = u.oracle
     elems = [u.head] + [e for _, e in u.tail]
     signs = [s for s, _ in u.tail]
     head = oracle.inv(elems[-1])
     tail = tuple((-signs[i], oracle.inv(elems[i])) for i in range(len(signs) - 1, -1, -1))
-    head, tail = _reduce(oracle, head, tail)
-    return HnnWord(oracle, head, tail)
+    if not u._reduced:
+        head, tail = _reduce(oracle, head, tail)
+    return _reduced_word(oracle, head, tail)
 
 
 def conjugate(g: HnnWord, x: HnnWord) -> HnnWord:
@@ -354,9 +412,9 @@ def normalize(w: HnnWord) -> NormalForm:
     for j in range(len(tail) - 1):
         s1, e1 = tail[j]
         s2 = tail[j + 1][0]
-        if s1 == -s2:
-            assert not oracle.is_identity(e1), "pinch re-created during canonicalization"
-    return NormalForm(HnnWord(oracle, head, tuple(tail)))
+        if s1 == -s2 and oracle.is_identity(e1):
+            raise VerificationError("pinch re-created during canonicalization")
+    return NormalForm(_reduced_word(oracle, head, tuple(tail)))
 
 
 def equals(u: HnnWord, v: HnnWord) -> bool:
@@ -392,10 +450,12 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
         else:
             if not oracle.in_K(wrap):
                 break
-        prefix = HnnWord(oracle, c.head, ((first_sign, oracle.identity),))
-        rotated_tail = c.tail[1:-1] + ((last_sign, wrap), (first_sign, oracle.identity))
-        head, tail = _reduce(oracle, c.tail[0][1], rotated_tail)
-        c = HnnWord(oracle, head, tail)
+        e = oracle.identity
+        prefix = HnnWord(oracle, c.head, ((first_sign, e),))
+        # the rotation lam_1 ... t^s_n wrap t^s_1 is pinch-free up to its
+        # last letter, so the wrap pinch cancels at a seam
+        rotated = c.tail[1:-1] + ((last_sign, wrap),)
+        c = _reduced_word(oracle, *_seam(oracle, c.tail[0][1], rotated, e, ((first_sign, e),)))
         g = mul(g, prefix)
     if not c.tail:
         return c, g
@@ -408,7 +468,8 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
         candidate = britton_reduce(
             HnnWord(oracle, oracle.identity, syllables[k:] + syllables[:k])
         )
-        assert len(candidate.tail) == len(syllables), "rotation of a cyclic core must stay reduced"
+        if len(candidate.tail) != len(syllables):
+            raise VerificationError("rotation of a cyclic core must stay reduced")
         nf = normalize(candidate)
         ser = format_word(nf.word)
         if best is None or ser < best[0]:

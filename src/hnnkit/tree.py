@@ -23,6 +23,9 @@ from typing import Callable, Iterable, Optional
 from .calculus import (
     BaseOracle,
     HnnWord,
+    VerificationError,
+    _reduced_word,
+    _seam,
     base_word,
     britton_reduce,
     cyclic_reduce,
@@ -95,14 +98,15 @@ class VertexLabel:
         return len(self.path)
 
     def word(self) -> HnnWord:
+        """The path word ``r_1 t^s_1 ... r_k t^s_k``.  It is pinch-free: a
+        representative lies in its subgroup only when it is the identity,
+        and an identity step against the previous sign would backtrack."""
+        e = self.oracle.identity
         if not self.path:
-            return identity_word(self.oracle)
-        head = self.path[0][0]
-        pairs = []
-        for i, (_, sign) in enumerate(self.path):
-            nxt = self.path[i + 1][0] if i + 1 < len(self.path) else self.oracle.identity
-            pairs.append((sign, nxt))
-        return HnnWord(self.oracle, head, tuple(pairs))
+            return _reduced_word(self.oracle, e, ())
+        reps = [rep for rep, _ in self.path[1:]] + [e]
+        pairs = tuple((sign, r) for (_, sign), r in zip(self.path, reps))
+        return _reduced_word(self.oracle, self.path[0][0], pairs)
 
     def parent(self) -> Optional["VertexLabel"]:
         if not self.path:
@@ -193,33 +197,33 @@ def distance(u: VertexLabel, v: VertexLabel) -> int:
     return (len(u.path) - common) + (len(v.path) - common)
 
 
-def _displacement(gamma: HnnWord, vword: HnnWord, vword_inv: HnnWord) -> int:
-    moved = mul(mul(vword_inv, gamma), vword)
-    return len(moved.tail)
+def _conjugate_by_step(oracle: BaseOracle, head, tail, rep, sign: int):
+    """``x^-1 w x`` for the path step ``x = rep t^sign`` and a pinch-free
+    ``w = (head, tail)``, as a pinch-free ``(head, tail)`` pair.
+
+    If w is v^-1 gamma v, the result is u^-1 gamma u for the vertex u one
+    step past v, and its stable-letter count is distance(u, gamma u).
+    """
+    e = oracle.identity
+    head, tail = _seam(oracle, e, ((-sign, oracle.inv(rep)),), head, tail)
+    return _seam(oracle, head, tail, rep, ((sign, e),))
 
 
 @lru_cache(maxsize=16)
-def _ball_with_words(
-    oracle: BaseOracle, radius: int
-) -> tuple[tuple[VertexLabel, HnnWord, HnnWord], ...]:
-    """BFS enumeration of the radius ball with each vertex's word and its
-    inverse precomputed."""
-    start = base_vertex(oracle)
-    rows = [(start, identity_word(oracle), identity_word(oracle))]
-    seen = {start.path}
-    frontier = [start]
+def _ball(oracle: BaseOracle, radius: int) -> tuple[tuple[VertexLabel, int], ...]:
+    """BFS enumeration of the radius ball: each vertex with the row index of
+    its parent (-1 for the base vertex)."""
+    rows = [(base_vertex(oracle), -1)]
+    start = 0
     for _ in range(radius):
-        nxt = []
-        for v in frontier:
+        end = len(rows)
+        for parent in range(start, end):
+            v = rows[parent][0]
             for edge in neighbors(v):
                 u = edge.target
-                if len(u.path) <= len(v.path) or u.path in seen:
-                    continue
-                seen.add(u.path)
-                w = u.word()
-                rows.append((u, w, inv(w)))
-                nxt.append(u)
-        frontier = nxt
+                if len(u.path) > len(v.path):
+                    rows.append((u, parent))
+        start = end
     return tuple(rows)
 
 
@@ -227,17 +231,29 @@ def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
     """Vertices within the given distance of the base vertex, in BFS order."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return [row[0] for row in _ball_with_words(oracle, radius)]
+    return [row[0] for row in _ball(oracle, radius)]
 
 
 def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]:
     """Minimum of distance(v, gamma v) over the radius ball, with the first
-    BFS witness.  Independent of the cyclic-core classification."""
+    BFS witness.  Independent of the cyclic-core classification.
+
+    distance(v, gamma v) is the stable-letter count of v^-1 gamma v, and
+    each vertex's conjugate is one step's conjugate of its parent's.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    oracle = gamma.oracle
+    g = britton_reduce(gamma)
+    conj: list[tuple] = []  # v^-1 gamma v, row by row
     best: Optional[tuple[int, VertexLabel]] = None
-    for v, w, w_inv in _ball_with_words(gamma.oracle, radius):
-        d = _displacement(gamma, w, w_inv)
+    for v, parent in _ball(oracle, radius):
+        if parent < 0:
+            c = (g.head, g.tail)
+        else:
+            c = _conjugate_by_step(oracle, *conj[parent], *v.path[-1])
+        conj.append(c)
+        d = len(c[1])
         if best is None or d < best[0]:
             best = (d, v)
             if d == 0:
@@ -290,20 +306,17 @@ def classify(gamma: HnnWord, sample_periods: int = 3) -> IsometryClass:
     core, conj = cyclic_reduce(gamma)
     if not core.tail:
         witness = to_vertex_label(conj)
-        assert act(gamma, witness) == witness, "elliptic witness must be fixed"
+        if act(gamma, witness) != witness:
+            raise VerificationError("elliptic witness must be fixed")
         return IsometryClass(ELLIPTIC, fixed_vertex=witness, conjugator=conj)
     tl = len(core.tail)
     sample = tuple(_axis_labels(conj, core, sample_periods))
     for v in sample:
-        assert distance(v, act(gamma, v)) == tl, "axis sample must realize the translation length"
+        if distance(v, act(gamma, v)) != tl:
+            raise VerificationError("axis sample must realize the translation length")
     return IsometryClass(
         HYPERBOLIC, conjugator=conj, translation_length=tl, axis_sample=sample
     )
-
-
-def _is_fixed(gamma: HnnWord, v: VertexLabel) -> bool:
-    w = v.word()
-    return not mul(mul(inv(w), gamma), w).tail
 
 
 def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], bool]:
@@ -320,31 +333,42 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     cls = classify(gamma)
     if cls.kind != ELLIPTIC:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
-    witness = cls.fixed_vertex
+    oracle = gamma.oracle
+    path = cls.fixed_vertex.path
+    # v^-1 gamma v for the prefixes v of the witness, base vertex first; v is
+    # fixed exactly when it has no stable letter
+    g = britton_reduce(gamma)
+    conj = [(g.head, g.tail)]
+    for rep, sign in path:
+        conj.append(_conjugate_by_step(oracle, *conj[-1], rep, sign))
+    if conj[-1][1]:
+        raise VerificationError("elliptic witness must be fixed")
     # the geodesic from a fixed vertex to the base consists of its prefixes;
     # the last fixed one is the projection of the base onto the fixed subtree
-    entry = None
-    for k in range(len(witness.path), -1, -1):
-        v = VertexLabel(gamma.oracle, witness.path[:k])
-        if _is_fixed(gamma, v):
-            entry = v
-        else:
-            break
-    assert entry is not None
+    k = len(path)
+    while k and not conj[k - 1][1]:
+        k -= 1
+    entry = VertexLabel(oracle, path[:k])
     if entry.depth > radius:
         return frozenset(), False
+    # every other fixed vertex lies below the entry, and the entry's parent
+    # is not fixed, so the search only steps down: from a fixed v (whose
+    # conjugate is the base element c) to each child
     fixed = {entry}
-    frontier = [entry]
+    frontier = [(entry, conj[k][0])]
     while frontier:
         nxt = []
-        for v in frontier:
+        for v, c in frontier:
+            if v.depth == radius:
+                continue
             for edge in neighbors(v):
                 u = edge.target
-                if u in fixed or u.depth > radius:
+                if u.depth < v.depth:
                     continue
-                if _is_fixed(gamma, u):
+                head, tail = _conjugate_by_step(oracle, c, (), edge.rep, edge.sign)
+                if not tail:
                     fixed.add(u)
-                    nxt.append(u)
+                    nxt.append((u, head))
         frontier = nxt
     touches = any(v.depth == radius for v in fixed)
     return frozenset(fixed), touches

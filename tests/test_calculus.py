@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hnnkit import (
     DomainError,
     HnnWord,
+    VerificationError,
     WordParseError,
     base_word,
     britton_reduce,
@@ -18,6 +19,8 @@ from hnnkit import (
     identity_word,
     inv,
     length,
+    make_bs,
+    make_zd,
     mul,
     normalize,
     parse_word,
@@ -26,7 +29,7 @@ from hnnkit import (
     stable_word,
 )
 
-from conftest import oracle_and_words
+from conftest import FUZZ_GROUPS, bs_word_strategy, oracle_and_words
 
 
 # --- britton_reduce -----------------------------------------------------
@@ -318,3 +321,130 @@ def test_dom_recursion_matches_membership(data):
     x = w.head
     for j in range(1, 6):
         assert phi_iter_domain(oracle, x, j) == unrolled_domain(oracle, x, j)
+
+
+# --- reduced-by-construction words ------------------------------------------
+
+
+def reference_reduce(oracle, *words):
+    """The product of ``words`` by the algorithm mul used before seam-only
+    cancellation: concatenate the token streams, then remove pinches
+    leftmost-innermost with a stack.  Returns ``(head, tail)``."""
+    head, stack = oracle.identity, []
+
+    def merge(x):
+        nonlocal head
+        if stack:
+            stack[-1] = (stack[-1][0], oracle.mul(stack[-1][1], x))
+        else:
+            head = oracle.mul(head, x)
+
+    for w in words:
+        merge(w.head)
+        for sign, elem in w.tail:
+            if stack:
+                top_sign, top = stack[-1]
+                if top_sign == -1 and sign == 1 and oracle.in_H(top):
+                    stack.pop()
+                    merge(oracle.mul(oracle.phi(top), elem))
+                    continue
+                if top_sign == 1 and sign == -1 and oracle.in_K(top):
+                    stack.pop()
+                    merge(oracle.mul(oracle.phi_inv(top), elem))
+                    continue
+            stack.append((sign, elem))
+    return head, tuple(stack)
+
+
+def formal_inverse(w):
+    """Reversed letters with negated signs and inverted base elements, as an
+    unreduced word built directly."""
+    o = w.oracle
+    elems = [w.head] + [e for _, e in w.tail]
+    signs = [s for s, _ in w.tail]
+    tail = tuple((-signs[i], o.inv(elems[i])) for i in range(len(signs) - 1, -1, -1))
+    return HnnWord(o, o.inv(elems[-1]), tail)
+
+
+def reference_word(oracle, *words):
+    return HnnWord(oracle, *reference_reduce(oracle, *words))
+
+
+def check_against_reference(oracle, u, v):
+    assert britton_reduce(u).key() == reference_reduce(oracle, u)
+    assert inv(u).key() == reference_reduce(oracle, formal_inverse(u))
+    # mul reduces each factor first, then the seam: the reference over the
+    # reduced factors gives the same word ...
+    p = mul(u, v)
+    assert p.key() == reference_reduce(oracle, reference_word(oracle, u), reference_word(oracle, v))
+    # ... and the reference over the raw concatenation the same element,
+    # with the same number of stable letters (Britton's lemma)
+    raw = reference_word(oracle, u, v)
+    assert len(p.tail) == len(raw.tail)
+    assert equals(p, raw)
+
+
+@given(oracle_and_words(count=2))
+@settings(max_examples=200, deadline=None)
+def test_word_ops_match_reference_on_unreduced_words(data):
+    oracle, u, v = data
+    check_against_reference(oracle, u, v)
+
+
+ZD_FIB = make_zd([[2, 1], [1, 1]])
+
+
+def zd_word_strategy(oracle, max_syllables=4, max_entry=4):
+    vec = st.tuples(st.integers(-max_entry, max_entry), st.integers(-max_entry, max_entry))
+    return st.builds(
+        lambda head, tail: HnnWord(oracle, head, tuple(tail)),
+        vec,
+        st.lists(st.tuples(st.sampled_from([1, -1]), vec), max_size=max_syllables),
+    )
+
+
+@given(zd_word_strategy(ZD_FIB), zd_word_strategy(ZD_FIB))
+@settings(max_examples=150, deadline=None)
+def test_word_ops_match_reference_over_zd(u, v):
+    check_against_reference(ZD_FIB, u, v)
+
+
+@given(st.sampled_from(FUZZ_GROUPS).flatmap(
+    lambda mn: st.lists(bs_word_strategy(make_bs(*mn)), min_size=50, max_size=50)))
+@settings(max_examples=30, deadline=None)
+def test_mul_chain_of_marked_words_matches_reference(words):
+    oracle = words[0].oracle
+    p = ref = identity_word(oracle)
+    for i, w in enumerate(words):
+        # inv and normalize always return marked words
+        factor = normalize(w).word if i % 2 else inv(w)
+        p = mul(p, factor)
+        ref = reference_word(oracle, ref, factor)
+        assert p.key() == ref.key()
+
+
+def test_mul_reduces_factors_first(bs23):
+    u, v = parse_word(bs23, "a"), parse_word(bs23, "b^2 a^-1 b^3 a")
+    # v reduces to b^4 before the seam; reducing the raw concatenation
+    # instead cancels a b^2 a^-1 first and gives b^6 a
+    assert format_word(mul(u, v)) == "a b^4"
+    assert format_word(reference_word(bs23, u, v)) == "b^6 a"
+    assert equals(mul(u, v), parse_word(bs23, "b^6 a"))
+
+
+def test_marked_words_are_returned_as_they_are(bs23):
+    w = parse_word(bs23, "b a^-1 b^3 a b^-1 a")
+    for marked in (mul(w, w), inv(w), britton_reduce(w), normalize(w).word):
+        assert britton_reduce(marked) is marked
+    # a word built directly is unmarked, even when it spells a reduced word
+    r = britton_reduce(w)
+    copy = HnnWord(bs23, r.head, r.tail)
+    assert britton_reduce(copy) is copy and copy.key() == r.key()
+
+
+def test_verification_error_is_shared():
+    import hnnkit
+    from hnnkit import analysis, calculus
+
+    assert analysis.VerificationError is calculus.VerificationError is VerificationError
+    assert hnnkit.VerificationError is VerificationError

@@ -5,14 +5,17 @@ import pytest
 from hnnkit import (
     ELLIPTIC,
     HYPERBOLIC,
+    HnnWord,
     NotEllipticError,
     NotHyperbolicError,
     TrivialElementError,
+    VerificationError,
     act,
     axes_overlap,
     ball,
     base_vertex,
     base_word,
+    britton_reduce,
     center,
     classify,
     conjugate,
@@ -35,6 +38,7 @@ from hnnkit import (
     tree_dot,
     unbounded_fixed_witness_bs,
 )
+from hnnkit import tree
 from hnnkit.tree import _geodesic
 
 
@@ -194,6 +198,29 @@ def test_classification_agrees_with_displacement_oracle(bs23):
             assert value == cls.translation_length
 
 
+@pytest.mark.parametrize("m,n", [(2, 3), (2, -2)])
+def test_min_displacement_matches_brute_force(m, n):
+    oracle = make_bs(m, n)
+    vs = ball(oracle, 4)
+    rng = random.Random(31 + m * n)
+    for _ in range(40):
+        g = rand_word(oracle, rng, BS_LETTERS, 8)
+        moved = [distance(v, act(g, v)) for v in vs]
+        best = min(moved)
+        assert min_displacement_bfs(g, 4) == (best, vs[moved.index(best)]), str(g)
+
+
+def test_classify_raises_when_a_certificate_fails(bs23, monkeypatch):
+    # an action that moves every vertex: no elliptic witness is fixed
+    monkeypatch.setattr(tree, "act", lambda g, v: v.step(0, 1))
+    with pytest.raises(VerificationError):
+        classify(base_word(bs23, 1))
+    # an action that fixes every vertex: the axis has no translation
+    monkeypatch.setattr(tree, "act", lambda g, v: v)
+    with pytest.raises(VerificationError):
+        classify(stable_word(bs23))
+
+
 # --- fixed subtrees -------------------------------------------------------------
 
 
@@ -222,6 +249,38 @@ def test_fixed_subtree_equals_brute_force(bs23):
         fixed, _ = fixed_subtree(g, radius)
         brute = {v for v in ball(bs23, radius) if act(g, v) == v}
         assert fixed == brute, text
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, -2)])
+def test_fixed_subtree_matches_brute_force_on_random_words(m, n):
+    oracle = make_bs(m, n)
+    vs = ball(oracle, 4)
+    rng = random.Random(47 + m * n)
+    elliptic = 0
+    for _ in range(60):
+        g = rand_word(oracle, rng, BS_LETTERS, 8)
+        if classify(g).kind != ELLIPTIC:
+            continue
+        elliptic += 1
+        fixed, touches = fixed_subtree(g, 4)
+        brute = {v for v in vs if act(g, v) == v}
+        assert fixed == brute, str(g)
+        assert touches == any(v.depth == 4 for v in brute), str(g)
+    assert elliptic >= 10
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, -2)])
+def test_vertex_words_are_pinch_free(m, n):
+    oracle = make_bs(m, n)
+    rng = random.Random(53 + m * n)
+    labels = ball(oracle, 4) + [
+        to_vertex_label(rand_word(oracle, rng, BS_LETTERS, 8)) for _ in range(100)
+    ]
+    for v in labels:
+        w = v.word()
+        unmarked = HnnWord(oracle, w.head, w.tail)
+        assert britton_reduce(unmarked).key() == w.key(), str(v)
+        assert len(w.tail) == v.depth
 
 
 def test_fixed_subtree_is_connected(bs23):
