@@ -13,15 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .calculus import BaseOracle, DomainError, HnnWord, format_word, parse_word
+from .calculus import BaseOracle, DomainError
 
 __all__ = [
     "BsParams",
     "BsOracle",
     "make_bs",
     "dom_phi_j_closed_form",
-    "parse_bs_word",
-    "format_bs_word",
 ]
 
 
@@ -135,11 +133,3 @@ def dom_phi_j_closed_form(params: BsParams, j: int) -> int:
         raise ValueError("j must be >= 1")
     return abs(params.n1) ** j * params.d
 
-
-def parse_bs_word(oracle: BsOracle, text: str) -> HnnWord:
-    """Words over the letters a, b with optional integer exponents."""
-    return parse_word(oracle, text)
-
-
-def format_bs_word(w: HnnWord) -> str:
-    return format_word(w)

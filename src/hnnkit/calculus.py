@@ -28,8 +28,11 @@ calculus is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import Any, Iterable, Iterator, Optional
 
 __all__ = [
     "BaseOracle",
@@ -173,6 +176,11 @@ class BaseOracle:
 
     def format_element(self, x) -> str:
         raise NotImplementedError
+
+    @cached_property
+    def _grammar(self):
+        """The word grammar of this oracle's letters, looked up once."""
+        return _grammar_for(self.stable_letter, tuple(self.base_letters().items()))
 
     def sort_key(self, x) -> str:
         """Total order on base elements via their canonical serialization."""
@@ -432,8 +440,17 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     product ``lam_n * lam_0`` lies in H (last sign -1, first +1) or K (last
     +1, first -1), the word is rotated by its leading syllable and re-reduced.
     Among the surviving same-length rotations the one with lexicographically
-    least normal-form serialization is returned, so the choice of core is
-    canonical for a given input word.
+    least :func:`format_word` text of its normal form is returned; on a tie
+    the rotation that starts earliest in the word wins.  So the choice of
+    core is canonical for a given input word.
+
+    Cost: the core's n rotations are all pinch-free once its one wrap join
+    is checked.  Their normal forms are built from one another: each
+    rotation reruns the right-to-left carry of :func:`normalize` only until
+    the carry into a syllable equals the one already stored there, and is
+    compared with the best so far only up to the first differing character.
+    That is O(n) when carries coalesce within a bounded distance and O(n^2)
+    at worst.
     """
     oracle = w.oracle
     c = britton_reduce(w)
@@ -444,12 +461,8 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
         if first_sign != -last_sign:
             break
         wrap = oracle.mul(last_elem, c.head)
-        if last_sign == -1 and first_sign == 1:
-            if not oracle.in_H(wrap):
-                break
-        else:
-            if not oracle.in_K(wrap):
-                break
+        if not _is_pinch(oracle, last_sign, wrap, first_sign):
+            break
         e = oracle.identity
         prefix = HnnWord(oracle, c.head, ((first_sign, e),))
         # the rotation lam_1 ... t^s_n wrap t^s_1 is pinch-free up to its
@@ -463,20 +476,98 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     # least normal form among the syllable rotations
     g = mul(g, base_word(oracle, c.head))
     syllables = c.tail[:-1] + ((c.tail[-1][0], oracle.mul(c.tail[-1][1], c.head)),)
-    best = None
-    for k in range(len(syllables)):
-        candidate = britton_reduce(
-            HnnWord(oracle, oracle.identity, syllables[k:] + syllables[:k])
-        )
-        if len(candidate.tail) != len(syllables):
-            raise VerificationError("rotation of a cyclic core must stay reduced")
-        nf = normalize(candidate)
-        ser = format_word(nf.word)
-        if best is None or ser < best[0]:
-            best = (ser, nf.word, k)
-    _, core, k = best
-    conj = mul(g, HnnWord(oracle, oracle.identity, syllables[:k]))
+    k, head, pairs = _least_rotation(oracle, syllables)
+    core = _reduced_word(oracle, head, tuple(pairs[k:] + pairs[:k]))
+    # a proper prefix of the pinch-free tail of c
+    conj = mul(g, _reduced_word(oracle, oracle.identity, syllables[:k]))
     return core, conj
+
+
+def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, list]:
+    """``(k, head, pairs)`` for the rotation ``syllables[k:] + syllables[:k]``
+    whose normal form has the least :func:`format_word` text (the least k
+    on a tie).  The normal form is ``head`` followed by
+    ``pairs[k:] + pairs[:k]``.
+
+    Rotation 0 is normalized in full, then rotations n-1, ..., 1, each from
+    the one before.  Rotation k runs its carry from syllable k-1 down to
+    k+1, cyclically, starting from the identity; once the carry into a
+    syllable equals the one stored there, the rest of the pass is as in
+    rotation k+1, whose head is then the carry into syllable k.
+    """
+    n = len(syllables)
+    signs = [s for s, _ in syllables]
+    # every adjacency but the wrap join lies in the pinch-free core
+    if _is_pinch(oracle, signs[-1], syllables[-1][1], signs[0]):
+        raise VerificationError("rotation of a cyclic core must stay reduced")
+    unset = object()
+    carries = [unset] * n
+    pairs: list = [None] * n
+
+    def settle(i, carry, followed):
+        """Normal-form syllable i under ``carry``; returns the carry out."""
+        carries[i] = carry
+        x = oracle.mul(syllables[i][1], carry)
+        if signs[i] == 1:
+            s, rep = oracle.decompose_left_K(x)
+            out = oracle.phi_inv(s)
+        else:
+            s, rep = oracle.decompose_left_H(x)
+            out = oracle.phi(s)
+        pairs[i] = (signs[i], rep)
+        if followed and signs[i] == -signs[(i + 1) % n] and oracle.is_identity(rep):
+            raise VerificationError("pinch re-created during canonicalization")
+        return out
+
+    def text(k, head, nf):
+        return _format_chunks(oracle, head, (nf[i] for i in chain(range(k, n), range(k))))
+
+    best = head = None
+    for k in range(n, 0, -1):
+        carry = oracle.identity
+        for step in range(n - 1):
+            i = (k - 1 - step) % n
+            if carries[i] == carry:
+                carry = head
+                break
+            carry = settle(i, carry, step > 0)
+        k %= n
+        head = settle(k, carry, n > 1)
+        if best is None:
+            best = (k, head, list(pairs))
+            continue
+        order = _compare_text(text(k, head, pairs), text(*best))
+        # rotation 0 came first, then the k run down: a tie goes to k unless
+        # the best is rotation 0
+        if order < 0 or order == 0 and best[0]:
+            best = (k, head, list(pairs))
+    return best
+
+
+def _is_pinch(oracle: BaseOracle, s1: int, x, s2: int) -> bool:
+    """Whether ``t^s1 x t^s2`` is a pinch."""
+    if s1 == -1 and s2 == 1:
+        return oracle.in_H(x)
+    if s1 == 1 and s2 == -1:
+        return oracle.in_K(x)
+    return False
+
+
+def _compare_text(xs: Iterator[str], ys: Iterator[str]) -> int:
+    """-1, 0 or 1 as the concatenated strings of ``xs`` compare with those of
+    ``ys``; reads both only up to the first difference."""
+    a = b = ""
+    while True:
+        if not a:
+            a = next(xs, None)
+        if not b:
+            b = next(ys, None)
+        if a is None or b is None:
+            return (b is None) - (a is None)
+        m = min(len(a), len(b))
+        if a[:m] != b[:m]:
+            return -1 if a[:m] < b[:m] else 1
+        a, b = a[m:], b[m:]
 
 
 def phi_iter_domain(oracle: BaseOracle, x, j: int) -> bool:
@@ -531,101 +622,83 @@ def fixed_by_some_phi_j(oracle: BaseOracle, x, j_max: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _letter_table(oracle: BaseOracle):
-    table: list[tuple[str, str, Any]] = [
-        (oracle.stable_letter, "stable", None),
-        ("t", "stable", None),
-        ("1", "identity", None),
-    ]
-    for name, value in oracle.base_letters().items():
-        table.append((name, "base", value))
-    # longest match first so e.g. "e12" is not read as "e1" "2"
-    table.sort(key=lambda item: len(item[0]), reverse=True)
-    return table
+@lru_cache(maxsize=64)
+def _grammar_for(stable_letter: str, base_letters: tuple):
+    """A compiled pattern for one term (whitespace, then optionally a
+    letter, then optionally ``^`` and an exponent of ASCII digits), and each
+    letter's ``(kind, value)``.  Longer names are tried first, so that e.g.
+    "e12" is not read as "e1" "2"; of equal names the first listed wins.
+    Kept for oracles with the same letters, not only per oracle: other
+    libraries can evict the pattern from the re module's own cache, and
+    compiling it again costs far more than a parse."""
+    letters = {stable_letter: ("stable", None)}
+    letters.setdefault("t", ("stable", None))
+    letters.setdefault("1", ("identity", None))
+    for name, value in base_letters:
+        letters.setdefault(name, ("base", value))
+    names = "|".join(re.escape(name) for name in sorted(letters, key=len, reverse=True))
+    pattern = re.compile(rf"\s*(?:(?P<name>{names})(?P<caret>\s*\^\s*(?P<exp>[+-]?[0-9]+)?)?)?")
+    return pattern, letters
 
 
 def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     """Parse word text; raises :class:`WordParseError` with the position on
     malformed input.  The written form is preserved (no reduction)."""
-    table = _letter_table(oracle)
-    n = len(text)
-    i = 0
-    head = oracle.identity
-    tail: list[tuple[int, Any]] = []
-
-    def push_elem(e):
-        nonlocal head
-        if tail:
-            s, last = tail[-1]
-            tail[-1] = (s, oracle.mul(last, e))
-        else:
-            head = oracle.mul(head, e)
-
+    pattern, letters = oracle._grammar
+    e = oracle.identity
+    head, tail = e, []
+    pos = 0
     while True:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        for name, kind, value in table:
-            if text.startswith(name, i):
-                break
-        else:
-            raise WordParseError(f"unknown letter {text[i]!r}", i)
-        i += len(name)
+        term = pattern.match(text, pos)
+        pos = term.end()
+        name = term["name"]
+        if name is None:
+            if pos == len(text):
+                return HnnWord(oracle, head, tuple(tail))
+            raise WordParseError(f"unknown letter {text[pos]!r}", pos)
         exp = 1
-        j = i
-        while j < n and text[j].isspace():
-            j += 1
-        if j < n and text[j] == "^":
-            j += 1
-            while j < n and text[j].isspace():
-                j += 1
-            k = j
-            if k < n and text[k] in "+-":
-                k += 1
-            start_digits = k
-            while k < n and text[k].isdigit():
-                k += 1
-            if k == start_digits:
-                raise WordParseError("expected an integer exponent after '^'", j)
-            exp = int(text[j:k])
-            i = k
-        if kind == "identity":
-            continue
+        if term["caret"] is not None:
+            if term["exp"] is None:
+                raise WordParseError("expected an integer exponent after '^'", pos)
+            exp = int(term["exp"])
+        kind, value = letters[name]
         if kind == "stable":
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                tail.append((sign, oracle.identity))
-        elif exp != 0:
-            push_elem(oracle.power(value, exp))
-    return HnnWord(oracle, head, tuple(tail))
+            tail += [(1 if exp > 0 else -1, e)] * abs(exp)
+        elif kind == "base" and exp:
+            x = oracle.power(value, exp)
+            if tail:
+                tail[-1] = (tail[-1][0], oracle.mul(tail[-1][1], x))
+            else:
+                head = oracle.mul(head, x)
 
 
 def format_word(w: HnnWord) -> str:
     """Canonical serialization; consecutive stable letters of equal sign with
     identity segments between them are printed as one power."""
-    oracle = w.oracle
-    parts: list[str] = []
-    if not oracle.is_identity(w.head):
-        parts.append(oracle.format_element(w.head))
-    pairs = w.tail
-    i = 0
-    letter = oracle.stable_letter
-    while i < len(pairs):
-        sign = pairs[i][0]
-        run = 1
-        while (
-            i + run < len(pairs)
-            and pairs[i + run][0] == sign
-            and oracle.is_identity(pairs[i + run - 1][1])
-        ):
-            run += 1
-        exp = sign * run
-        parts.append(letter if exp == 1 else f"{letter}^{exp}")
-        last_elem = pairs[i + run - 1][1]
-        if not oracle.is_identity(last_elem):
-            parts.append(oracle.format_element(last_elem))
-        i += run
-    if not parts:
-        return "1"
-    return " ".join(parts)
+    return "".join(_format_chunks(w.oracle, w.head, w.tail)) or "1"
+
+
+def _format_chunks(oracle: BaseOracle, head, pairs: Iterable) -> Iterator[str]:
+    """The text of :func:`format_word` for ``head`` followed by the
+    ``(sign, elem)`` pairs, in pieces, each made when it is read, so that
+    comparisons can stop at the first difference."""
+    is_identity, letter = oracle.is_identity, oracle.stable_letter
+    sep = ""
+    if not is_identity(head):
+        yield oracle.format_element(head)
+        sep = " "
+    sign = run = 0
+    for s, elem in pairs:
+        if run and s != sign:
+            yield sep + _power(letter, sign * run)
+            sep, run = " ", 0
+        sign, run = s, run + 1
+        if not is_identity(elem):
+            yield f"{sep}{_power(letter, sign * run)} {oracle.format_element(elem)}"
+            sep, run = " ", 0
+    if run:
+        yield sep + _power(letter, sign * run)
+
+
+def _power(letter: str, exp: int) -> str:
+    return letter if exp == 1 else f"{letter}^{exp}"

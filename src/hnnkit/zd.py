@@ -102,6 +102,20 @@ def det_int(M: IntegerMatrix) -> int:
     return sign * a[d - 1][d - 1]
 
 
+def adjugate_int(M: IntegerMatrix) -> IntegerMatrix:
+    """The integer matrix adj(M) with M adj(M) = det(M) I, by cofactors."""
+    d = len(M)
+    if d == 1:
+        return ((1,),)
+
+    def minor(r, c):
+        return tuple(row[:c] + row[c + 1:] for i, row in enumerate(M) if i != r)
+
+    return tuple(
+        tuple((-1) ** (i + j) * det_int(minor(j, i)) for j in range(d)) for i in range(d)
+    )
+
+
 def _rank_rational(M: IntegerMatrix) -> int:
     rows = [[Fraction(x) for x in row] for row in M]
     d = len(rows)
@@ -197,6 +211,14 @@ class ZdOracle(BaseOracle):
     def hnf(self) -> IntegerMatrix:
         return column_hnf(self.matrix)
 
+    @cached_property
+    def det(self) -> int:
+        return det_int(self.matrix)
+
+    @cached_property
+    def adjugate(self) -> IntegerMatrix:
+        return adjugate_int(self.matrix)
+
     def mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
@@ -223,10 +245,12 @@ class ZdOracle(BaseOracle):
         return mat_vec(self.matrix, x)
 
     def phi_inv(self, x):
-        sol = solve_exact(self.matrix, x)
-        if any(f.denominator != 1 for f in sol):
+        # M^-1 x = adj(M) x / det(M), exact when det(M) divides every entry
+        y = mat_vec(self.adjugate, x)
+        det = self.det
+        if any(v % det for v in y):
             raise DomainError(f"{self.format_element(x)} is not in K = phi(Z^{self.dim})")
-        return tuple(int(f) for f in sol)
+        return tuple(v // det for v in y)
 
     def decompose_left_H(self, x):
         return (x, self.identity)

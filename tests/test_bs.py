@@ -6,9 +6,9 @@ from hnnkit import (
     BsParams,
     dom_phi_j_closed_form,
     equals,
-    format_bs_word,
+    format_word,
     make_bs,
-    parse_bs_word,
+    parse_word,
     phi_iter_domain,
 )
 
@@ -42,8 +42,8 @@ def test_params_gcd():
 
 
 def test_defining_relation_both_ways(bs23):
-    assert equals(parse_bs_word(bs23, "a^-1 b^3 a"), parse_bs_word(bs23, "b^2"))
-    assert equals(parse_bs_word(bs23, "a b^2 a^-1"), parse_bs_word(bs23, "b^3"))
+    assert equals(parse_word(bs23, "a^-1 b^3 a"), parse_word(bs23, "b^2"))
+    assert equals(parse_word(bs23, "a b^2 a^-1"), parse_word(bs23, "b^3"))
 
 
 def test_dom_closed_form_values():
@@ -63,17 +63,17 @@ def test_dom_closed_form_matches_recursion(m, n):
 
 
 def test_parse_structure(bs23):
-    w = parse_bs_word(bs23, "a^-1 b^3 a")
+    w = parse_word(bs23, "a^-1 b^3 a")
     assert w.head == 0
     assert w.tail == ((-1, 3), (1, 0))
-    assert format_bs_word(w) == "a^-1 b^3 a"
+    assert format_word(w) == "a^-1 b^3 a"
 
 
 def test_parse_rejects_unknown_letter(bs23):
     from hnnkit import WordParseError
 
     with pytest.raises(WordParseError):
-        parse_bs_word(bs23, "c")
+        parse_word(bs23, "c")
 
 
 def test_transversals(bs23):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnnkit import (
+    BsOracle,
     DomainError,
     HnnWord,
     VerificationError,
@@ -30,6 +31,8 @@ from hnnkit import (
 )
 
 from conftest import FUZZ_GROUPS, bs_word_strategy, oracle_and_words
+
+ZD_FIB = make_zd([[2, 1], [1, 1]])
 
 
 # --- britton_reduce -----------------------------------------------------
@@ -202,7 +205,7 @@ def test_fixed_by_some_phi_j_identity(bs23):
 
 
 def test_parse_round_trip(bs23):
-    for text in ["a^-1 b^3 a", "b^7 a b", "a^2 b^-5", "1"]:
+    for text in ["a^-1 b^3 a", "b^7 a b", "a^2 b^-5", "1", "a a^-1", "b a^3 a^-2 b^-1"]:
         assert format_word(parse_word(bs23, text)) == text
 
 
@@ -219,6 +222,95 @@ def test_parse_unknown_letter(bs23):
 def test_parse_bad_exponent(bs23):
     with pytest.raises(WordParseError):
         parse_word(bs23, "b^x")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("b^\u00b2", 2), ("b^\u0661\u0662", 2), ("a^-\u00b2", 2), ("b a^ \u0663", 5)],
+)
+def test_parse_rejects_non_ascii_digits(bs23, text, position):
+    # superscript two and Arabic-Indic digits pass str.isdigit
+    with pytest.raises(WordParseError) as exc:
+        parse_word(bs23, text)
+    assert exc.value.position == position
+
+
+def test_parse_builds_letter_table_once(monkeypatch):
+    oracle = make_bs(2, 3)
+    calls = []
+    real = BsOracle.base_letters
+
+    def base_letters(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BsOracle, "base_letters", base_letters)
+    for text in ("b a", "a^-1 b^3 a", "b^-2"):
+        parse_word(oracle, text)
+    assert calls == [oracle]
+
+
+def reference_parse_word(oracle, text):
+    """parse_word as a loop over characters: skip whitespace, take the first
+    letter name (longest first) the text continues with, then an optional
+    ``^`` and exponent of ASCII digits."""
+    table = [(oracle.stable_letter, "stable", None), ("t", "stable", None), ("1", "identity", None)]
+    table += [(name, "base", value) for name, value in oracle.base_letters().items()]
+    table.sort(key=lambda item: len(item[0]), reverse=True)
+    n, i = len(text), 0
+    head, tail = oracle.identity, []
+    while True:
+        while i < n and text[i].isspace():
+            i += 1
+        if i >= n:
+            return HnnWord(oracle, head, tuple(tail))
+        for name, kind, value in table:
+            if text.startswith(name, i):
+                break
+        else:
+            raise WordParseError(f"unknown letter {text[i]!r}", i)
+        i += len(name)
+        exp, j = 1, i
+        while j < n and text[j].isspace():
+            j += 1
+        if j < n and text[j] == "^":
+            j += 1
+            while j < n and text[j].isspace():
+                j += 1
+            k = j + (j < n and text[j] in "+-")
+            digits = k
+            while k < n and text[k] in "0123456789":
+                k += 1
+            if k == digits:
+                raise WordParseError("expected an integer exponent after '^'", j)
+            exp, i = int(text[j:k]), k
+        if kind == "stable":
+            tail += [(1 if exp > 0 else -1, oracle.identity)] * abs(exp)
+        elif kind == "base" and exp:
+            x = oracle.power(value, exp)
+            if tail:
+                tail[-1] = (tail[-1][0], oracle.mul(tail[-1][1], x))
+            else:
+                head = oracle.mul(head, x)
+
+
+def parse_outcome(oracle, parse, text):
+    try:
+        return parse(oracle, text).key()
+    except WordParseError as exc:
+        return str(exc), exc.position
+
+
+TEXT_PIECES = ["a", "b", "t", "e", "e1", "e2", "1", "2", "^", "-", "+", "0", "7", "12",
+               " ", "  ", "\t", "\u00a0", "\u00b2", "\u0663", "c", "^-3", "^ 2"]
+
+
+@given(st.sampled_from([make_bs(2, 3), make_bs(-3, 4), ZD_FIB]),
+       st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_parse_word_matches_reference(oracle, text):
+    assert parse_outcome(oracle, parse_word, text) == parse_outcome(
+        oracle, reference_parse_word, text)
 
 
 # --- properties -----------------------------------------------------------
@@ -391,8 +483,6 @@ def test_word_ops_match_reference_on_unreduced_words(data):
     check_against_reference(oracle, u, v)
 
 
-ZD_FIB = make_zd([[2, 1], [1, 1]])
-
 
 def zd_word_strategy(oracle, max_syllables=4, max_entry=4):
     vec = st.tuples(st.integers(-max_entry, max_entry), st.integers(-max_entry, max_entry))
@@ -448,3 +538,119 @@ def test_verification_error_is_shared():
 
     assert analysis.VerificationError is calculus.VerificationError is VerificationError
     assert hnnkit.VerificationError is VerificationError
+
+
+
+# --- canonical rotation in cyclic_reduce --------------------------------------
+
+
+def reference_cyclic_reduce(w):
+    """cyclic_reduce as it was before incremental normal forms: once the
+    wrap pinches are gone, reduce, normalize and serialize every rotation of
+    the core in full, and keep the first one with the least text."""
+    oracle = w.oracle
+    e = oracle.identity
+    c = reference_word(oracle, w)
+    g = identity_word(oracle)
+    while c.tail:
+        first_sign = c.tail[0][0]
+        last_sign, last_elem = c.tail[-1]
+        if first_sign != -last_sign:
+            break
+        wrap = oracle.mul(last_elem, c.head)
+        if not (oracle.in_H(wrap) if last_sign == -1 else oracle.in_K(wrap)):
+            break
+        g = mul(g, HnnWord(oracle, c.head, ((first_sign, e),)))
+        rotated = c.tail[1:-1] + ((last_sign, wrap), (first_sign, e))
+        c = reference_word(oracle, HnnWord(oracle, c.tail[0][1], rotated))
+    if not c.tail:
+        return c, g
+    g = mul(g, base_word(oracle, c.head))
+    syllables = c.tail[:-1] + ((c.tail[-1][0], oracle.mul(c.tail[-1][1], c.head)),)
+    best = None
+    for k in range(len(syllables)):
+        candidate = reference_word(oracle, HnnWord(oracle, e, syllables[k:] + syllables[:k]))
+        assert len(candidate.tail) == len(syllables)
+        nf = normalize(candidate).word
+        text = format_word(nf)
+        if best is None or text < best[0]:
+            best = (text, nf, k)
+    _, core, k = best
+    return core, mul(g, HnnWord(oracle, e, syllables[:k]))
+
+
+def check_cyclic_reduce(w):
+    core, conj = cyclic_reduce(w)
+    ref_core, ref_conj = reference_cyclic_reduce(w)
+    assert core.key() == ref_core.key()
+    assert conj.key() == ref_conj.key()
+    return core
+
+
+def check_powers(w):
+    """The core, its square and its cube, whose rotations tie in pairs and
+    triples, against the reference; then a conjugate of the cube, which has
+    wrap pinches to remove first."""
+    core = check_cyclic_reduce(w)
+    square = mul(core, core)
+    cube = mul(square, core)
+    check_cyclic_reduce(square)
+    check_cyclic_reduce(cube)
+    check_cyclic_reduce(conjugate(w, cube))
+
+
+def bs_words(max_syllables=12):
+    return st.tuples(st.sampled_from(FUZZ_GROUPS), st.sampled_from([1, 9, 10**12])).flatmap(
+        lambda g: bs_word_strategy(make_bs(*g[0]), max_syllables, g[1]))
+
+
+@given(bs_words())
+@settings(max_examples=150, deadline=None)
+def test_cyclic_reduce_matches_reference(w):
+    check_powers(w)
+
+
+@given(zd_word_strategy(ZD_FIB, max_syllables=12, max_entry=2))
+@settings(max_examples=100, deadline=None)
+def test_cyclic_reduce_matches_reference_over_zd(w):
+    check_powers(w)
+
+
+def test_cyclic_reduce_periodic_core_keeps_first_rotation(bs23):
+    # the core is periodic up to its head: two rotations tie, the first wins
+    w = parse_word(bs23, "b a^-1 b^-1 a b^10 a^-1 a b^-17 a^-1 b^-1 a a^-1 a")
+    check_cyclic_reduce(w)
+    core, conj = cyclic_reduce(w)
+    assert format_word(core) == "b^-12 a^-1 b^2 a b a^-1 b^2 a b"
+    assert format_word(conj) == "b"
+
+
+def test_cyclic_reduce_checks_the_wrap_join(monkeypatch):
+    oracle = make_bs(2, 3)
+    w = britton_reduce(parse_word(oracle, "a b a^-1 b"))
+    calls = []
+    real = BsOracle.in_H
+
+    def in_H(self, x):
+        # truthful to the wrap-pinch loop, then a pinch at the join check
+        calls.append(x)
+        return len(calls) > 1 or real(self, x)
+
+    monkeypatch.setattr(BsOracle, "in_H", in_H)
+    with pytest.raises(VerificationError, match="rotation of a cyclic core"):
+        cyclic_reduce(w)
+    assert calls == [1, 1]
+
+
+def test_cyclic_reduce_checks_recomputed_syllables(monkeypatch):
+    oracle = make_bs(2, 3)
+    w = parse_word(oracle, "a b a^-1 b^2")
+
+    def decompose_left_K(self, x):
+        # drops the coset representative: t b^0 t^-1 is a pinch
+        return x - x % 2, 0
+
+    monkeypatch.setattr(BsOracle, "decompose_left_K", decompose_left_K)
+    for compute in (cyclic_reduce, normalize):
+        with pytest.raises(VerificationError, match="pinch re-created"):
+            compute(w)

@@ -87,6 +87,12 @@ def test_parse_error_exit_1(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_non_ascii_exponent_exit_1(capsys):
+    code, out, err = run(capsys, "--m", "2", "--n", "3", "reduce", "b^\u00b2")
+    assert code == 1 and out == ""
+    assert err == "error: expected an integer exponent after '^' (at position 2)\n"
+
+
 def test_missing_group_exit_1(capsys):
     code, _, err = run(capsys, "reduce", "b")
     assert code == 1

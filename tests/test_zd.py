@@ -6,15 +6,20 @@ import pytest
 from hnnkit import (
     DomainError,
     fixed_lattice_rank,
+    format_word,
     has_root_of_unity_eigenvalue,
     integer_fixed_vector,
     make_zd,
     parse_matrix,
+    parse_word,
 )
 from hnnkit.zd import (
+    adjugate_int,
     column_hnf,
     cyclotomic_order_candidates,
     det_int,
+    identity_matrix,
+    mat_mul,
     mat_pow,
     mat_vec,
     solve_exact,
@@ -34,10 +39,59 @@ def test_phi_and_inverse(zd_fib):
     assert zd_fib.phi_inv((2, 1)) == (1, 0)
 
 
+def test_format_round_trip(zd_fib):
+    # Z^2 elements print with spaces of their own
+    for text in ["e1 e2^-1 t^2 e2 t^-1", "t e1^3 e2 t^-1 t", "1"]:
+        assert format_word(parse_word(zd_fib, text)) == text
+
+
 def test_phi_inv_outside_lattice():
     z2 = make_zd([[2, 0], [0, 2]])
     with pytest.raises(DomainError):
         z2.phi_inv((1, 0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_phi_inv_matches_exact_solve(dim):
+    rng = random.Random(17 + dim)
+    dets = set()
+    while len(dets) < 25:
+        M = tuple(tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim))
+        if det_int(M) == 0:
+            continue
+        dets.add(det_int(M))
+        oracle = make_zd(M)
+        for _ in range(20):
+            v = tuple(rng.randint(-30, 30) for _ in range(dim))
+            # an image of phi is always in K; a random vector mostly is not
+            for x in (v, oracle.phi(v)):
+                sol = solve_exact(oracle.matrix, x)
+                if all(f.denominator == 1 for f in sol):
+                    assert oracle.phi_inv(x) == tuple(int(f) for f in sol)
+                else:
+                    with pytest.raises(DomainError) as exc:
+                        oracle.phi_inv(x)
+                    assert str(exc.value) == (
+                        f"{oracle.format_element(x)} is not in K = phi(Z^{dim})")
+    assert min(dets) < 0 < max(dets)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_adjugate_times_matrix_is_det(dim):
+    rng = random.Random(5 + dim)
+    for _ in range(20):
+        M = tuple(tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(dim))
+        det = det_int(M)
+        scaled = tuple(tuple(det * x for x in row) for row in identity_matrix(dim))
+        assert mat_mul(M, adjugate_int(M)) == scaled
+        assert mat_mul(adjugate_int(M), M) == scaled
+
+
+def test_phi_inv_in_dimension_one():
+    oracle = make_zd([[-3]])
+    assert oracle.phi_inv((6,)) == (-2,)
+    with pytest.raises(DomainError, match="is not in K"):
+        oracle.phi_inv((4,))
 
 
 def test_in_K_even_lattice():
