@@ -3,9 +3,9 @@ integer matrix.
 
 This is the ascending setting: every base element lies in H, membership in
 K is decided by exact lattice arithmetic, and K-coset representatives come
-from the mixed-radix residue of a column-style Hermite basis.  Eigenvalue
-root-of-unity detection is done symbolically through cyclotomic polynomial
-gcds, never through floating point.
+from the mixed-radix residue of a column-style Hermite basis.  An eigenvalue
+is a primitive k-th root of unity exactly when det(Phi_k(M)) = 0, decided in
+integer arithmetic, never through floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Optional
 
@@ -116,45 +116,34 @@ def adjugate_int(M: IntegerMatrix) -> IntegerMatrix:
     )
 
 
-def _rank_rational(M: IntegerMatrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in M]
-    d = len(rows)
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < d and col < cols:
-        pivot = next((r for r in range(rank, d) if rows[r][col] != 0), None)
+def _rref(A) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of A over the rationals, by Gauss-Jordan
+    elimination: the rows, and the pivot column of each nonzero row."""
+    rows = [[Fraction(x) for x in row] for row in A]
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
         rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(d):
+        for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
 
 
 def solve_exact(M: IntegerMatrix, v: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Unique rational solution of M x = v for nonsingular M."""
     d = len(M)
-    a = [[Fraction(M[i][j]) for j in range(d)] + [Fraction(v[i])] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][d] for i in range(d))
+    rows, pivots = _rref([list(row) + [x] for row, x in zip(M, v)])
+    if pivots != list(range(d)):
+        raise ValueError("matrix is singular")
+    return tuple(row[d] for row in rows)
 
 
 def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
@@ -320,68 +309,74 @@ def parse_matrix(text: str) -> IntegerMatrix:
 def cyclotomic_order_candidates(d: int) -> list[int]:
     """All k with Euler-totient(k) <= d, ascending.  totient(k) >= sqrt(k/2)
     makes 2*d^2 + 1 a safe enumeration cutoff."""
-    from sympy import totient
+    return [k for k in range(1, 2 * d * d + 2)
+            if sum(1 for i in range(1, k + 1) if gcd(i, k) == 1) <= d]
 
-    return [k for k in range(1, 2 * d * d + 2) if totient(k) <= d]
+
+@cache
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Integer coefficients of the k-th cyclotomic polynomial, constant term
+    first: x^k - 1 divided exactly by Phi_e for every proper divisor e of k."""
+    p = [-1] + [0] * (k - 1) + [1]
+    for e in range(1, k):
+        if k % e:
+            continue
+        q = _cyclotomic(e)  # monic, so the long division stays in the integers
+        n = len(q) - 1
+        quotient = [0] * (len(p) - n)
+        for i in reversed(range(len(quotient))):
+            c = quotient[i] = p[i + n]
+            for j, qj in enumerate(q):
+                p[i + j] -= c * qj
+        p = quotient
+    return tuple(p)
 
 
 def has_root_of_unity_eigenvalue(M) -> Optional[int]:
-    """Smallest k >= 1 such that the characteristic polynomial shares a
-    nonconstant factor with the k-th cyclotomic polynomial; None if no
-    eigenvalue is a root of unity.  Exact polynomial gcd over the rationals."""
-    import sympy
-
+    """Smallest k >= 1 such that some eigenvalue of M is a primitive k-th
+    root of unity; None if no eigenvalue is a root of unity.  The eigenvalues
+    of Phi_k(M) are the values Phi_k(lambda) at the eigenvalues lambda of M,
+    so the test is det(Phi_k(M)) == 0, with Phi_k(M) by Horner's rule."""
     M = as_matrix(M)
     d = len(M)
-    x = sympy.Symbol("x")
-    charpoly = sympy.Matrix(M).charpoly(x).as_expr()
     for k in cyclotomic_order_candidates(d):
-        g = sympy.gcd(charpoly, sympy.cyclotomic_poly(k, x))
-        if sympy.degree(g, x) >= 1:
+        P = identity_matrix(d)  # Phi_k is monic; each step is P <- P M + c I
+        for c in reversed(_cyclotomic(k)[:-1]):
+            P = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                      for i, row in enumerate(mat_mul(P, M)))
+        if det_int(P) == 0:
             return k
     return None
+
+
+def _fixed_point_system(M, j: int) -> IntegerMatrix:
+    """M^j - I, whose kernel holds the vectors fixed by phi^j."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    M = as_matrix(M)
+    return mat_sub(mat_pow(M, j), identity_matrix(len(M)))
 
 
 def fixed_lattice_rank(M, j: int) -> int:
     """Rank of the integer kernel of M^j - I; zero exactly when phi^j is
     fixed-point-free on Z^d, equivalently det(M^j - I) != 0."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    M = as_matrix(M)
-    A = mat_sub(mat_pow(M, j), identity_matrix(len(M)))
-    return len(M) - _rank_rational(A)
+    A = _fixed_point_system(M, j)
+    return len(A) - len(_rref(A)[1])
 
 
 def integer_fixed_vector(M, j: int) -> Optional[tuple[int, ...]]:
     """A nonzero primitive integer vector fixed by M^j, or None when M^j is
     fixed-point-free."""
-    M = as_matrix(M)
-    d = len(M)
-    A = mat_sub(mat_pow(M, j), identity_matrix(d))
-    rows = [[Fraction(x) for x in row] for row in A]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(d):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(d) if c not in pivots]
-    if not free:
+    A = _fixed_point_system(M, j)
+    d = len(A)
+    rows, pivots = _rref(A)
+    free = next((c for c in range(d) if c not in pivots), None)
+    if free is None:
         return None
-    c0 = free[0]
     vec = [Fraction(0)] * d
-    vec[c0] = Fraction(1)
+    vec[free] = Fraction(1)
     for r, pcol in enumerate(pivots):
-        vec[pcol] = -rows[r][c0]
+        vec[pcol] = -rows[r][free]
     denom = lcm(*(f.denominator for f in vec))
     ints = [int(f * denom) for f in vec]
     g = gcd(*(abs(a) for a in ints))

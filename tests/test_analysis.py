@@ -21,6 +21,7 @@ from hnnkit import (
     icc_probe_orbit,
     length,
     make_bs,
+    make_zd,
     mul,
     normalize,
     orbit_sample,
@@ -83,6 +84,28 @@ def test_icc_zd_examples():
     assert icc_decide_zd([[2, 1], [1, 1]]).status == ICC
     v = icc_decide_zd([[1]])
     assert v.status == NOT_ICC and len(v.witness) == 1
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0, -1, 0], [1, 0, 0], [0, 0, 2]],  # companion(Phi_4) + [2]
+    [[0, -1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # Phi_6 + Phi_4
+])
+def test_icc_zd_higher_dimension_witness(matrix):
+    v = icc_decide_zd(matrix)
+    assert v.status == NOT_ICC and len(v.witness) == 4
+    oracle = make_zd(matrix)
+    keys = {normalize(w).key() for w in v.witness}
+    assert len(keys) == 4
+    assert normalize(base_word(oracle, oracle.identity)).key() not in keys
+    for gen in generator_letter_words(oracle):
+        for w in v.witness:
+            assert normalize(conjugate(gen, w)).key() in keys
+
+
+def test_icc_zd_three_dimensional_icc():
+    # companion of x^3 - x - 1: no root of the polynomial is a root of unity
+    v = icc_decide_zd([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    assert v.status == ICC and v.witness is None
 
 
 def test_icc_zd_rejects_singular():

@@ -1,19 +1,42 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hnnkit"
 
 
-def test_no_assert_statements():
-    # invariants raise VerificationError: an assert vanishes under python -O
+def parsed_sources():
     paths = sorted(SRC.glob("*.py"))
     assert paths
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_no_assert_statements():
+    # invariants raise VerificationError: an assert vanishes under python -O
     found = [
         f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, tree in parsed_sources()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_imports_are_stdlib_or_relative():
+    # the package has no runtime dependencies; a third-party import would add one
+    found = []
+    for path, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "hnnkit" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import lcm
 
@@ -14,6 +15,7 @@ from hnnkit import (
     parse_word,
 )
 from hnnkit.zd import (
+    _cyclotomic,
     adjugate_int,
     column_hnf,
     cyclotomic_order_candidates,
@@ -94,6 +96,13 @@ def test_phi_inv_in_dimension_one():
         oracle.phi_inv((4,))
 
 
+def test_solve_exact_rejects_singular():
+    with pytest.raises(ValueError, match="matrix is singular"):
+        solve_exact(((1, 2), (2, 4)), (1, 2))
+    with pytest.raises(ValueError, match="matrix is singular"):
+        solve_exact(((1, 2, 3), (2, 4, 7), (1, 2, 5)), (1, 0, 0))
+
+
 def test_in_K_even_lattice():
     z2 = make_zd([[2, 0], [0, 2]])
     assert not z2.in_K((1, 0))
@@ -167,6 +176,13 @@ def test_integer_fixed_vector_is_fixed():
     assert integer_fixed_vector(FIB, 3) is None
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_fixed_point_functions_reject_small_j(j):
+    for fn in (fixed_lattice_rank, integer_fixed_vector):
+        with pytest.raises(ValueError, match="j must be >= 1"):
+            fn(COMPANION_PHI6, j)
+
+
 def test_totient_candidates_small_dims():
     assert cyclotomic_order_candidates(1) == [1, 2]
     assert cyclotomic_order_candidates(2) == [1, 2, 3, 4, 6]
@@ -220,3 +236,93 @@ def test_parse_matrix():
         parse_matrix("2,1;1")
     with pytest.raises(ValueError):
         parse_matrix("2,x;1,1")
+
+
+# --- differential test against the sympy route -------------------------------
+
+
+def reference_root_of_unity(M):
+    """Smallest k such that the characteristic polynomial of M shares a
+    nonconstant factor with the k-th cyclotomic polynomial, by sympy
+    polynomial gcds; None if there is none."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    d = len(M)
+    charpoly = sympy.Matrix(M).charpoly(x).as_expr()
+    for k in range(1, 2 * d * d + 2):
+        if sympy.totient(k) <= d and sympy.degree(
+                sympy.gcd(charpoly, sympy.cyclotomic_poly(k, x)), x) >= 1:
+            return k
+    return None
+
+
+def reference_cyclotomic(k):
+    """Coefficients of Phi_k from sympy, constant term first."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()))
+
+
+def companion(k):
+    """Companion matrix of Phi_k; its characteristic polynomial is Phi_k."""
+    coeffs = reference_cyclotomic(k)
+    n = len(coeffs) - 1
+    C = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        C[i][n - 1] = -coeffs[i]
+    return C
+
+
+def block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    M = [[0] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            M[at + i][at:at + len(row)] = row
+        at += len(b)
+    return M
+
+
+def test_cyclotomic_coefficients_match_sympy():
+    for k in range(1, 61):
+        assert _cyclotomic(k) == reference_cyclotomic(k), k
+
+
+def test_root_of_unity_matches_sympy_on_2x2_grid():
+    grid = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-2, 3), repeat=4)
+            if a * d != b * c]
+    assert len(grid) == 496
+    found = [has_root_of_unity_eigenvalue(M) for M in grid]
+    assert found == [reference_root_of_unity(M) for M in grid]
+    assert set(found) == {None, 1, 2, 3, 4, 6}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_root_of_unity_matches_sympy_on_random(dim):
+    rng = random.Random(41 + dim)
+    found = set()
+    for _ in range(60):
+        M = tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim))
+        k = has_root_of_unity_eigenvalue(M)
+        assert k == reference_root_of_unity(M), M
+        found.add(k)
+    assert None in found and len(found) > 2
+
+
+def test_root_of_unity_matches_sympy_on_cyclotomic_blocks():
+    ks = cyclotomic_order_candidates(4)
+    assert ks == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+    for k in ks:
+        C = companion(k)
+        n = 4 - len(C)
+        twos = [[2 if i == j else 0 for j in range(n)] for i in range(n)]  # no root of unity
+        M = block_diag(C, twos)
+        assert has_root_of_unity_eigenvalue(M) == reference_root_of_unity(M) == k
+    for k1, k2 in itertools.permutations(ks, 2):
+        C1, C2 = companion(k1), companion(k2)
+        if len(C1) + len(C2) <= 4:
+            M = block_diag(C1, C2)
+            assert has_root_of_unity_eigenvalue(M) == reference_root_of_unity(M) == min(k1, k2)
+    phi6_phi4 = block_diag(COMPANION_PHI6, [[0, -1], [1, 0]])
+    assert has_root_of_unity_eigenvalue(phi6_phi4) == reference_root_of_unity(phi6_phi4) == 4
