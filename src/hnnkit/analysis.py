@@ -20,15 +20,17 @@ from .calculus import (
     HnnWord,
     NormalForm,
     VerificationError,
+    _reduced_word,
+    _seam,
     base_word,
     britton_reduce,
     conjugate,
     format_word,
     identity_word,
+    inv,
     mul,
     normalize,
     phi_iter,
-    stable_word,
 )
 from .bs import BsOracle, BsParams, dom_phi_j_closed_form, make_bs
 from .zd import has_root_of_unity_eigenvalue, integer_fixed_vector, make_zd
@@ -86,10 +88,13 @@ class IccVerdict:
 
 
 def generator_letter_words(oracle: BaseOracle) -> list[HnnWord]:
-    words = [stable_word(oracle, 1), stable_word(oracle, -1)]
+    """The one-letter words t, t^-1, then each base generator and its
+    inverse, marked reduced."""
+    e = oracle.identity
+    words = [_reduced_word(oracle, e, ((1, e),)), _reduced_word(oracle, e, ((-1, e),))]
     for g in oracle.generators():
-        words.append(base_word(oracle, g))
-        words.append(base_word(oracle, oracle.inv(g)))
+        words.append(_reduced_word(oracle, g, ()))
+        words.append(_reduced_word(oracle, oracle.inv(g), ()))
     return words
 
 
@@ -179,37 +184,68 @@ def thm1_hypothesis_bs(m: int, n: int, j_max: int) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _conjugator_ball(oracle: BaseOracle, radius: int) -> tuple[HnnWord, ...]:
+def _conjugator_ball(oracle: BaseOracle, radius: int) -> tuple[tuple[int, int], ...]:
     """All group elements expressible with at most ``radius`` generator
-    letters, one normal-form word each, in deterministic order."""
+    letters, in BFS order, as rows ``(parent_row, letter_index)``: row i is
+    ``letter * element(parent_row)``, with ``letter`` the word at that index
+    of :func:`generator_letter_words`.  Row 0, ``(-1, -1)``, is the
+    identity.
+
+    The ball grows by left multiplication, so that a row's conjugates can be
+    built from its parent's.  Sphere r is the set of elements of word length
+    r either way: a geodesic word's first letter plays the part its last
+    letter plays in a right-multiplication BFS.  Only the rows are kept; the
+    normal forms that deduplicate them are dropped after the build.
+    """
     gens = generator_letter_words(oracle)
-    start = normalize(identity_word(oracle))
-    seen = {start.key(): start.word}
-    frontier = [start.word]
-    order = [start.word]
+    start = normalize(identity_word(oracle)).word
+    seen = {start.key()}
+    rows = [(-1, -1)]
+    words = [start]
+    begin = 0
     for _ in range(radius):
-        new = []
-        for g in frontier:
-            for letter in gens:
-                h = normalize(mul(g, letter))
+        end = len(rows)
+        for parent in range(begin, end):
+            for i, letter in enumerate(gens):
+                h = normalize(mul(letter, words[parent])).word
                 if h.key() not in seen:
-                    seen[h.key()] = h.word
-                    new.append(h.word)
-                    order.append(h.word)
-        frontier = new
-    return tuple(order)
+                    seen.add(h.key())
+                    rows.append((parent, i))
+                    words.append(h)
+        begin = end
+    return tuple(rows)
 
 
 def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
     """Normal forms of g x g^-1 over all g in the generator ball of the given
-    radius, deduplicated, sorted by canonical serialization."""
+    radius, deduplicated, sorted by canonical serialization.
+
+    ``x`` is reduced once.  Each ball row ``l * p`` gets its conjugate
+    ``l (p x p^-1) l^-1`` from its parent's by two seam products, with the
+    one-letter words for l and l^-1, and each distinct reduced conjugate
+    is normalized once.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     oracle = x.oracle
+    gens = generator_letter_words(oracle)
+    left = [(w.head, w.tail) for w in gens]
+    right = [(w.head, w.tail) for w in map(inv, gens)]
+    r = britton_reduce(x)
+    conj: list[tuple] = []  # p x p^-1, row by row
+    seen: set[tuple] = set()
     found: dict[tuple, NormalForm] = {}
-    for g in _conjugator_ball(oracle, radius):
-        nf = normalize(conjugate(g, x))
-        found.setdefault(nf.key(), nf)
+    for parent, i in _conjugator_ball(oracle, radius):
+        if parent < 0:
+            c = (r.head, r.tail)
+        else:
+            c = _seam(oracle, *left[i], *conj[parent])
+            c = _seam(oracle, *c, *right[i])
+        conj.append(c)
+        if c not in seen:
+            seen.add(c)
+            nf = normalize(_reduced_word(oracle, *c))
+            found.setdefault(nf.key(), nf)
     return tuple(sorted(found.values(), key=lambda nf: format_word(nf.word)))
 
 
@@ -299,17 +335,30 @@ def folner_chain_ascending(
 
 def symdiff_ratio(chain: FolnerChain, g: HnnWord) -> Fraction:
     """|g F g^-1 symdiff F| / |F| for the interior window
-    F = {h_1, ..., h_{k-1}}, as an exact rational."""
+    F = {h_1, ..., h_{k-1}}, as an exact rational.
+
+    ``g`` is reduced and inverted once, and each conjugate g h g^-1 is the
+    seam product of the three reduced words.  Conjugation is injective, so
+    |g F g^-1| = |F| and the symmetric difference has 2 (|F| - |F & gFg^-1|)
+    elements.  By Britton's lemma a reduced word lies in the base group
+    exactly when it has no stable letter, and then its head is the element,
+    so no conjugate needs a normal form.
+    """
     if chain.k < 2:
         raise ValueError("chain must have k >= 2")
     if g.oracle != chain.oracle:
         raise ValueError("word belongs to a different oracle")
+    oracle = chain.oracle
     window = chain.elements[1:-1]
-    f_keys = {normalize(base_word(chain.oracle, h)).key() for h in window}
-    conj_keys = {
-        normalize(conjugate(g, base_word(chain.oracle, h))).key() for h in window
-    }
-    return Fraction(len(f_keys ^ conj_keys), len(window))
+    f = set(window)
+    r = britton_reduce(g)
+    r_inv = inv(r)
+    common = 0
+    for h in f:
+        head, tail = _seam(oracle, *_seam(oracle, r.head, r.tail, h, ()), r_inv.head, r_inv.tail)
+        if not tail and head in f:
+            common += 1
+    return Fraction(2 * (len(f) - common), len(window))
 
 
 def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
@@ -339,8 +388,7 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
     for w in current:
         if not w.tail and oracle.is_identity(w.head):
             raise ValueError("every element of F must be nontrivial")
-    a = stable_word(oracle, 1)
-    a_inv = stable_word(oracle, -1)
+    a, a_inv = generator_letter_words(oracle)[:2]
     run_start: Optional[int] = None
     trace: list[tuple[int, list[str]]] = []
     for step in range(1, n_max + 1):

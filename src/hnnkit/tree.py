@@ -417,7 +417,7 @@ def unbounded_fixed_witness_bs(
     for l in range(check_range + 1):
         v = family(l)
         if act(gamma, v) != v or distance(origin, v) != expected_distance(l):
-            raise AssertionError(f"unbounded fixed family fails at index {l}")
+            raise VerificationError(f"unbounded fixed family fails at index {l}")
     return gamma, family
 
 

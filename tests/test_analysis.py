@@ -7,18 +7,22 @@ from hnnkit import (
     DomainError,
     EMPIRICAL,
     EscapeExhaustionError,
+    HnnWord,
     HypothesisViolationError,
     ICC,
     NOT_ICC,
     VerificationError,
     base_word,
     conjugate,
+    equals,
     escape_exponent,
     folner_chain_ascending,
     folner_chain_bs,
+    format_word,
     icc_decide_bs,
     icc_decide_zd,
     icc_probe_orbit,
+    identity_word,
     length,
     make_bs,
     make_zd,
@@ -30,7 +34,59 @@ from hnnkit import (
     symdiff_ratio,
     thm1_hypothesis_bs,
 )
-from hnnkit.analysis import generator_letter_words, verify_finite_class
+from hnnkit.analysis import _conjugator_ball, generator_letter_words, verify_finite_class
+
+
+def reference_spheres(oracle, radius):
+    """Normal-form words of the generator ball, sphere by sphere, by a BFS
+    that multiplies on the right and builds every normal form in full."""
+    gens = generator_letter_words(oracle)
+    start = normalize(identity_word(oracle))
+    seen = {start.key()}
+    spheres = [[start.word]]
+    for _ in range(radius):
+        new = []
+        for g in spheres[-1]:
+            for letter in gens:
+                h = normalize(mul(g, letter))
+                if h.key() not in seen:
+                    seen.add(h.key())
+                    new.append(h.word)
+        spheres.append(new)
+    return spheres
+
+
+def reference_orbit_sample(x, radius):
+    """Normal forms of g x g^-1 over the right-multiplication ball, each
+    conjugate formed from scratch."""
+    found = {}
+    for sphere in reference_spheres(x.oracle, radius):
+        for g in sphere:
+            nf = normalize(conjugate(g, x))
+            found.setdefault(nf.key(), nf)
+    return sorted(format_word(nf.word) for nf in found.values())
+
+
+def reference_symdiff_ratio(chain, g):
+    """|g F g^-1 symdiff F| / |F| with every word normalized from scratch."""
+    window = chain.elements[1:-1]
+    f_keys = {normalize(base_word(chain.oracle, h)).key() for h in window}
+    conj_keys = {normalize(conjugate(g, base_word(chain.oracle, h))).key() for h in window}
+    return Fraction(len(f_keys ^ conj_keys), len(window))
+
+
+def raw_word(oracle, letters):
+    """The product of one-letter words as written: an unmarked word whose
+    tokens are not reduced, so it may hold pinches."""
+    head, tail = oracle.identity, []
+    for w in letters:
+        if w.tail:
+            tail.append(w.tail[0])
+        elif tail:
+            tail[-1] = (tail[-1][0], oracle.mul(tail[-1][1], w.head))
+        else:
+            head = oracle.mul(head, w.head)
+    return HnnWord(oracle, head, tuple(tail))
 
 
 # --- ICC decisions --------------------------------------------------------
@@ -166,6 +222,88 @@ def test_orbit_zd_recovers_witness_class():
     lam = verdict.witness[0]
     orbit = orbit_sample(lam, 3)
     assert {str(nf) for nf in orbit} == witness_strings
+
+
+ORBIT_INPUTS = {
+    (2, 3): ["b", "a", "a a^-1 b^3", "a^-1 b^2 a", "b a b^-1 a^-1"],
+    (3, 2): ["b^2", "a a^-1 b^3", "a^-1 b^2 a", "a b^-1"],
+    (2, -2): ["b^2", "a a^-1 b^3", "a^-1 b^2 a", "a"],
+    (1, 5): ["b", "a a^-1 b^3", "a^-1 b^2 a", "a b"],
+    (2, 4): ["b^3", "a a^-1 b^3", "a^-1 b^2 a", "b^4 a^-1"],
+}
+
+
+@pytest.mark.parametrize("mn", list(ORBIT_INPUTS), ids=str)
+def test_orbit_sample_matches_reference_bs(mn):
+    oracle = make_bs(*mn)
+    for text in ORBIT_INPUTS[mn]:
+        x = parse_word(oracle, text)
+        for radius in range(5):
+            got = [str(nf) for nf in orbit_sample(x, radius)]
+            assert got == reference_orbit_sample(x, radius), (mn, text, radius)
+
+
+def test_orbit_sample_matches_reference_zd(zd_fib):
+    for text in ["e1", "t t^-1 e2", "t^-1 e1 t", "e1 t e2^-1", "t e1 t^-1 e2"]:
+        x = parse_word(zd_fib, text)
+        for radius in range(5):
+            got = [str(nf) for nf in orbit_sample(x, radius)]
+            assert got == reference_orbit_sample(x, radius), (text, radius)
+
+
+@pytest.mark.parametrize("group", [(2, 3), (3, 2), (2, -2), (1, 5), (2, 4), "zd_fib"], ids=str)
+def test_conjugator_ball_is_the_generator_ball(group, zd_fib):
+    oracle = zd_fib if group == "zd_fib" else make_bs(*group)
+    radius = 4 if group == "zd_fib" else 5
+    gens = generator_letter_words(oracle)
+    rows = _conjugator_ball(oracle, radius)
+    assert rows[0] == (-1, -1)
+    depth, elements = [0], [identity_word(oracle)]
+    for parent, i in rows[1:]:
+        assert 0 <= parent < len(elements)
+        depth.append(depth[parent] + 1)
+        elements.append(mul(gens[i], elements[parent]))
+    # row i is letter * parent: read up its parent chain, the letters spell
+    # a word of length depth for the row's element
+    for row in range(len(rows)):
+        letters, j = [], row
+        while j > 0:
+            letters.append(gens[rows[j][1]])
+            j = rows[j][0]
+        assert len(letters) == depth[row]
+        assert equals(raw_word(oracle, letters), elements[row])
+    keys = [normalize(w).key() for w in elements]
+    assert len(set(keys)) == len(rows)
+    for r, sphere in enumerate(reference_spheres(oracle, radius)):
+        got = {k for k, d in zip(keys, depth) if d == r}
+        assert got == {normalize(w).key() for w in sphere}, r
+    assert depth == sorted(depth)
+
+
+SYMDIFF_LETTERS = ["a", "a^-1", "b", "b^-1", "b^2", "b^-3", "b^4"]
+
+
+@pytest.mark.parametrize("mn", [(2, 3), (3, 2), (-2, 3), (1, 4)], ids=str)
+def test_symdiff_ratio_matches_reference_bs(mn):
+    oracle = make_bs(*mn)
+    rng = random.Random(str(mn))
+    for k in (2, 5, 12):
+        chain = folner_chain_bs(*mn, k)
+        for _ in range(40):
+            # unmarked words with pinches such as "a^-1 b^2 a" or "a a^-1"
+            text = " ".join(rng.choice(SYMDIFF_LETTERS) for _ in range(rng.randint(0, 7)))
+            g = parse_word(oracle, text)
+            assert symdiff_ratio(chain, g) == reference_symdiff_ratio(chain, g), (mn, k, text)
+
+
+def test_symdiff_ratio_matches_reference_ascending(zd_fib):
+    rng = random.Random(5)
+    gens = generator_letter_words(zd_fib)
+    for k in (2, 4, 7):
+        chain = folner_chain_ascending(zd_fib, (1, 0), k)
+        for _ in range(40):
+            g = raw_word(zd_fib, [rng.choice(gens) for _ in range(rng.randint(0, 6))])
+            assert symdiff_ratio(chain, g) == reference_symdiff_ratio(chain, g), (k, str(g))
 
 
 def test_icc_probe_is_empirical(bs23):

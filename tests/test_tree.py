@@ -38,7 +38,7 @@ from hnnkit import (
     tree_dot,
     unbounded_fixed_witness_bs,
 )
-from hnnkit import tree
+from hnnkit import cli, tree
 from hnnkit.tree import _geodesic
 
 
@@ -321,6 +321,18 @@ def test_unbounded_family_multiple_cases():
             v = family(l)
             assert act(gamma, v) == v
             assert distance(base_vertex(oracle), v) == step * l
+
+
+def test_unbounded_family_check_raises_verification_error(monkeypatch, capsys):
+    # an action that sends every vertex to the base vertex fixes only index 0
+    monkeypatch.setattr(tree, "act", lambda g, v: base_vertex(v.oracle))
+    for m, n in [(4, 2), (2, 4), (2, 3)]:
+        with pytest.raises(VerificationError, match="index 1"):
+            unbounded_fixed_witness_bs(m, n)
+    assert cli.main(["--m", "2", "--n", "3", "witness-unbounded"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unbounded fixed family fails at index 1\n"
 
 
 def test_unbounded_family_direction():
