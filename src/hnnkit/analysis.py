@@ -371,6 +371,8 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
     the valuation drops at every step; if n | m the element b^n never
     leaves H).  Refuses otherwise.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     words = list(F)
     if not words:
         raise ValueError("F must be nonempty")

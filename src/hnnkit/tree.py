@@ -9,15 +9,15 @@ equality checks.
 
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
-stable-letter length.  A brute-force minimum-displacement search over a ball
-is kept alongside as an independent oracle, so the identity between the two
-is a tested theorem rather than an assumption.
+stable-letter length.  The minimum displacement is also found without the
+core, by a descent from the base vertex towards Min gamma (the fixed subtree
+or the axis), so the identity between the two is a tested theorem rather than
+an assumption.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .calculus import (
@@ -209,56 +209,61 @@ def _conjugate_by_step(oracle: BaseOracle, head, tail, rep, sign: int):
     return _seam(oracle, head, tail, rep, ((sign, e),))
 
 
-@lru_cache(maxsize=16)
-def _ball(oracle: BaseOracle, radius: int) -> tuple[tuple[VertexLabel, int], ...]:
-    """BFS enumeration of the radius ball: each vertex with the row index of
-    its parent (-1 for the base vertex)."""
-    rows = [(base_vertex(oracle), -1)]
-    start = 0
-    for _ in range(radius):
-        end = len(rows)
-        for parent in range(start, end):
-            v = rows[parent][0]
-            for edge in neighbors(v):
-                u = edge.target
-                if len(u.path) > len(v.path):
-                    rows.append((u, parent))
-        start = end
-    return tuple(rows)
-
-
 def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
     """Vertices within the given distance of the base vertex, in BFS order."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return [row[0] for row in _ball(oracle, radius)]
+    vs = [base_vertex(oracle)]
+    start = 0
+    for _ in range(radius):
+        end = len(vs)
+        for v in vs[start:end]:
+            for edge in neighbors(v):
+                u = edge.target
+                if u.depth > v.depth:
+                    vs.append(u)
+        start = end
+    return vs
+
+
+def _descend(gamma: HnnWord, radius: Optional[int] = None):
+    """Greedy walk from the base vertex towards Min gamma, to depth at most
+    ``radius``: the vertex v where it stops, with v^-1 gamma v as a pinch-free
+    ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v)."""
+    oracle = gamma.oracle
+    g = britton_reduce(gamma)
+    v, head, tail = base_vertex(oracle), g.head, g.tail
+    while tail and (radius is None or v.depth < radius):
+        for edge in neighbors(v):
+            h, t = _conjugate_by_step(oracle, head, tail, edge.rep, edge.sign)
+            # strictly fewer: the displacement stays equal along an axis, so
+            # only a strict drop makes the walk terminate
+            if len(t) < len(tail):
+                v, head, tail = edge.target, h, t
+                break
+        else:
+            break
+    return v, head, tail
 
 
 def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]:
     """Minimum of distance(v, gamma v) over the radius ball, with the first
     BFS witness.  Independent of the cyclic-core classification.
 
-    distance(v, gamma v) is the stable-letter count of v^-1 gamma v, and
-    each vertex's conjugate is one step's conjugate of its parent's.
+    On a tree without inversions distance(v, gamma v) = l(gamma) +
+    2 d(v, Min gamma), where Min gamma is the fixed subtree or the axis
+    (Serre, *Trees*, I.6.4).  So off Min gamma exactly one neighbor, the next
+    vertex on the geodesic to it, lowers the displacement, and on Min gamma
+    none does.  The minimum over the ball is taken at one vertex only: the
+    projection of the base vertex onto Min gamma, or the vertex at depth
+    ``radius`` on the geodesic to it.  This unique witness is also the first
+    in BFS order, and the descent reaches it in O(radius * degree)
+    conjugations.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    oracle = gamma.oracle
-    g = britton_reduce(gamma)
-    conj: list[tuple] = []  # v^-1 gamma v, row by row
-    best: Optional[tuple[int, VertexLabel]] = None
-    for v, parent in _ball(oracle, radius):
-        if parent < 0:
-            c = (g.head, g.tail)
-        else:
-            c = _conjugate_by_step(oracle, *conj[parent], *v.path[-1])
-        conj.append(c)
-        d = len(c[1])
-        if best is None or d < best[0]:
-            best = (d, v)
-            if d == 0:
-                break
-    return best
+    v, _, tail = _descend(gamma, radius)
+    return len(tail), v
 
 
 @dataclass(frozen=True)
@@ -330,32 +335,19 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cls = classify(gamma)
-    if cls.kind != ELLIPTIC:
+    # the descent stops at the projection of the base vertex onto Min gamma,
+    # which for an elliptic gamma is the fixed subtree
+    entry, c, tail = _descend(gamma)
+    if tail:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
-    oracle = gamma.oracle
-    path = cls.fixed_vertex.path
-    # v^-1 gamma v for the prefixes v of the witness, base vertex first; v is
-    # fixed exactly when it has no stable letter
-    g = britton_reduce(gamma)
-    conj = [(g.head, g.tail)]
-    for rep, sign in path:
-        conj.append(_conjugate_by_step(oracle, *conj[-1], rep, sign))
-    if conj[-1][1]:
-        raise VerificationError("elliptic witness must be fixed")
-    # the geodesic from a fixed vertex to the base consists of its prefixes;
-    # the last fixed one is the projection of the base onto the fixed subtree
-    k = len(path)
-    while k and not conj[k - 1][1]:
-        k -= 1
-    entry = VertexLabel(oracle, path[:k])
     if entry.depth > radius:
         return frozenset(), False
     # every other fixed vertex lies below the entry, and the entry's parent
     # is not fixed, so the search only steps down: from a fixed v (whose
     # conjugate is the base element c) to each child
+    oracle = gamma.oracle
     fixed = {entry}
-    frontier = [(entry, conj[k][0])]
+    frontier = [(entry, c)]
     while frontier:
         nxt = []
         for v, c in frontier:

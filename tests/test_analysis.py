@@ -434,6 +434,12 @@ def test_escape_mixed_set(bs23):
     assert n0 == 3  # b^9 -> b^6 -> b^4 needs three steps
 
 
+def test_escape_rejects_nonpositive_n_max(bs23):
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            escape_exponent([base_word(bs23, 1)], n_max)
+
+
 def test_escape_exhaustion(bs23):
     with pytest.raises(EscapeExhaustionError) as exc:
         escape_exponent([base_word(bs23, 3**40)], 5)

@@ -1,6 +1,13 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from hnnkit.cli import main
+
+# the CLI calls the benchmark records, with their exit codes and stdout
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
+GOLDEN_CALLS = json.loads(GOLDEN.read_text())["calls"]
 
 
 def run(capsys, *argv):
@@ -79,6 +86,12 @@ def test_escape_hypothesis_violation_exit_2(capsys):
     code, _, err = run(capsys, "--m", "4", "--n", "2", "escape", "b^2", "--max", "5")
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_escape_nonpositive_max_exit_1(capsys):
+    code, out, err = run(capsys, "--m", "2", "--n", "3", "escape", "b", "--max", "0")
+    assert code == 1 and out == ""
+    assert err == "error: n_max must be >= 1\n"
 
 
 def test_parse_error_exit_1(capsys):
@@ -167,3 +180,10 @@ def test_byte_identical_repeat_runs(capsys):
     main(argv)
     second, _ = capsys.readouterr()
     assert first == second
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_CALLS)))
+def test_recorded_golden_output(capsys, index):
+    call = GOLDEN_CALLS[index]
+    code, out, _ = run(capsys, *call["args"])
+    assert (code, out) == (call["exit"], call["stdout"])

@@ -198,16 +198,35 @@ def test_classification_agrees_with_displacement_oracle(bs23):
             assert value == cls.translation_length
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (2, -2)])
+@pytest.mark.parametrize("m,n", [(2, 3), (2, -2), (3, 2), (1, 5), (-3, 4)])
 def test_min_displacement_matches_brute_force(m, n):
     oracle = make_bs(m, n)
     vs = ball(oracle, 4)
     rng = random.Random(31 + m * n)
-    for _ in range(40):
-        g = rand_word(oracle, rng, BS_LETTERS, 8)
+    words = [rand_word(oracle, rng, BS_LETTERS, 8) for _ in range(40)]
+    # a^k b a^-k with k at and just past the radius: for BS(2, 3) Min gamma
+    # is the one vertex a^k L, on the ball boundary and one step outside it
+    words += [parse_word(oracle, f"a^{k} b a^-{k}") for k in (4, 5)]
+    for g in words:
         moved = [distance(v, act(g, v)) for v in vs]
         best = min(moved)
         assert min_displacement_bfs(g, 4) == (best, vs[moved.index(best)]), str(g)
+
+
+def test_min_displacement_far_from_the_base(bs23):
+    # distance(v, gamma v) = l(gamma) + 2 d(v, Min gamma): Min gamma is a^60 L
+    # for the elliptic word and the axis through a^60 L for the hyperbolic one
+    a = lambda k: to_vertex_label(stable_word(bs23, 1, k))
+    elliptic = parse_word(bs23, "a^60 b a^-60")
+    hyperbolic = parse_word(bs23, "a^60 b a b^-1 a^-60")
+    assert min_displacement_bfs(elliptic, 50) == (20, a(50))
+    assert min_displacement_bfs(elliptic, 60) == (0, a(60))
+    assert min_displacement_bfs(hyperbolic, 50) == (21, a(50))
+    assert min_displacement_bfs(hyperbolic, 70) == (1, a(60))
+    assert fixed_subtree(elliptic, 59) == (frozenset(), False)
+    assert fixed_subtree(elliptic, 60) == (frozenset({a(60)}), True)
+    with pytest.raises(NotEllipticError):
+        fixed_subtree(hyperbolic, 70)
 
 
 def test_classify_raises_when_a_certificate_fails(bs23, monkeypatch):
