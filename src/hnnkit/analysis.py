@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .calculus import (
@@ -183,69 +182,46 @@ def thm1_hypothesis_bs(m: int, n: int, j_max: int) -> bool:
     return result
 
 
-@lru_cache(maxsize=32)
-def _conjugator_ball(oracle: BaseOracle, radius: int) -> tuple[tuple[int, int], ...]:
-    """All group elements expressible with at most ``radius`` generator
-    letters, in BFS order, as rows ``(parent_row, letter_index)``: row i is
-    ``letter * element(parent_row)``, with ``letter`` the word at that index
-    of :func:`generator_letter_words`.  Row 0, ``(-1, -1)``, is the
-    identity.
-
-    The ball grows by left multiplication, so that a row's conjugates can be
-    built from its parent's.  Sphere r is the set of elements of word length
-    r either way: a geodesic word's first letter plays the part its last
-    letter plays in a right-multiplication BFS.  Only the rows are kept; the
-    normal forms that deduplicate them are dropped after the build.
-    """
-    gens = generator_letter_words(oracle)
-    start = normalize(identity_word(oracle)).word
-    seen = {start.key()}
-    rows = [(-1, -1)]
-    words = [start]
-    begin = 0
-    for _ in range(radius):
-        end = len(rows)
-        for parent in range(begin, end):
-            for i, letter in enumerate(gens):
-                h = normalize(mul(letter, words[parent])).word
-                if h.key() not in seen:
-                    seen.add(h.key())
-                    rows.append((parent, i))
-                    words.append(h)
-        begin = end
-    return tuple(rows)
-
-
 def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
     """Normal forms of g x g^-1 over all g in the generator ball of the given
     radius, deduplicated, sorted by canonical serialization.
 
-    ``x`` is reduced once.  Each ball row ``l * p`` gets its conjugate
-    ``l (p x p^-1) l^-1`` from its parent's by two seam products, with the
-    one-letter words for l and l^-1, and each distinct reduced conjugate
-    is normalized once.
+    The orbit is built by a BFS over distinct conjugates, starting from the
+    reduced ``x``.  The ball B_r of generator words is B_{r-1} together with
+    l B_{r-1} for the one-letter words l, so the conjugates C_r add to
+    C_{r-1} only the l c l^-1 with c first reached at radius r - 1: layer r
+    conjugates the previous layer's new elements by every letter, with two
+    seam products each.  ``seen`` holds the reduced ``(head, tail)`` pairs
+    already met, so that a repeated pair is not normalized again; a pair it
+    lets through is normalized, and joins the next layer only when its
+    normal form is new.  The BFS stops after ``radius`` layers or when a
+    layer adds nothing.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     oracle = x.oracle
     gens = generator_letter_words(oracle)
-    left = [(w.head, w.tail) for w in gens]
-    right = [(w.head, w.tail) for w in map(inv, gens)]
+    steps = [((g.head, g.tail), (h.head, h.tail)) for g, h in zip(gens, map(inv, gens))]
     r = britton_reduce(x)
-    conj: list[tuple] = []  # p x p^-1, row by row
-    seen: set[tuple] = set()
-    found: dict[tuple, NormalForm] = {}
-    for parent, i in _conjugator_ball(oracle, radius):
-        if parent < 0:
-            c = (r.head, r.tail)
-        else:
-            c = _seam(oracle, *left[i], *conj[parent])
-            c = _seam(oracle, *c, *right[i])
-        conj.append(c)
-        if c not in seen:
-            seen.add(c)
-            nf = normalize(_reduced_word(oracle, *c))
-            found.setdefault(nf.key(), nf)
+    nf = normalize(r)
+    found = {nf.key(): nf}
+    frontier = [(r.head, r.tail)]
+    seen = set(frontier)
+    for _ in range(radius):
+        layer = []
+        for c in frontier:
+            for left, right in steps:
+                d = _seam(oracle, *_seam(oracle, *left, *c), *right)
+                if d in seen:
+                    continue
+                seen.add(d)
+                nf = normalize(_reduced_word(oracle, *d))
+                if nf.key() not in found:
+                    found[nf.key()] = nf
+                    layer.append(d)
+        if not layer:
+            break
+        frontier = layer
     return tuple(sorted(found.values(), key=lambda nf: format_word(nf.word)))
 
 

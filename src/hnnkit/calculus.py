@@ -20,7 +20,8 @@ treated as unreduced.  ``mul`` reduces an unmarked operand first; it then
 cancels pinches only at the seam, because by Britton's lemma (Lyndon-Schupp,
 *Combinatorial Group Theory*, IV.2) no pinch can form anywhere else in the
 product of two reduced words.  ``inv`` of a marked word and
-``britton_reduce`` of a marked word do no reduction at all.
+``britton_reduce`` of a marked word do no reduction at all; an unmarked word
+that ``britton_reduce`` finds pinch-free is marked in place.
 
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
@@ -201,8 +202,9 @@ class HnnWord:
     head: Any
     tail: tuple[tuple[int, Any], ...] = ()
 
-    # Not a field: True only on words this package built pinch-free (see
-    # _reduced_word).  A word built directly is treated as unreduced.
+    # Not a field: True only on words this package built or found pinch-free
+    # (see _reduced_word and britton_reduce).  A word built directly is
+    # treated as unreduced until then.
     _reduced = False
 
     def key(self) -> tuple:
@@ -343,12 +345,13 @@ def britton_reduce(w: HnnWord) -> HnnWord:
 
     Returns a pinch-free word representing the same group element; adjacent
     base elements are merged eagerly.  Idempotent and total.  A word that
-    is already pinch-free is returned as it is.
+    is already pinch-free is returned as it is, marked reduced.
     """
     if w._reduced:
         return w
     head, tail = _reduce(w.oracle, w.head, w.tail)
     if head == w.head and tail == w.tail:
+        object.__setattr__(w, "_reduced", True)
         return w
     return _reduced_word(w.oracle, head, tail)
 

@@ -29,6 +29,7 @@ from hnnkit import (
     phi_iter_domain,
     stable_word,
 )
+from hnnkit import calculus
 
 from conftest import FUZZ_GROUPS, bs_word_strategy, oracle_and_words
 
@@ -56,6 +57,21 @@ def test_reduce_empty_word(bs23):
 def test_reduce_leaves_reduced_word_alone(bs23):
     w = parse_word(bs23, "a^-1 b a")
     assert britton_reduce(w) is w  # 1 not in 3Z, no pinch
+
+
+def test_reduce_marks_a_pinch_free_word(bs23, monkeypatch):
+    r = britton_reduce(parse_word(bs23, "a^-1 b a b"))
+    calls = []
+    real = calculus._reduce
+
+    def _reduce(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "_reduce", _reduce)
+    mul(r, r)
+    inv(r)
+    assert calls == []
 
 
 def test_reduce_cascades(bs23):

@@ -40,3 +40,52 @@ def test_imports_are_stdlib_or_relative():
                 if top != "hnnkit" and top not in sys.stdlib_module_names:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def referenced_names(tree):
+    """Every name a module reads, as a bare name, an attribute or a string
+    in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export the public names
+    found = []
+    for path, tree in parsed_sources():
+        if path.name == "__init__.py":
+            continue
+        used = referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert found == []
+
+
+def test_no_orphaned_private_definitions():
+    # a private helper that nothing in the package calls is dead code
+    sources = parsed_sources()
+    used = set().union(*(referenced_names(tree) for _, tree in sources))
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in sources
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert found == []
