@@ -30,6 +30,7 @@ from .calculus import (
     mul,
     normalize,
     phi_iter,
+    stable_word,
 )
 from .bs import BsOracle, BsParams, dom_phi_j_closed_form, make_bs
 from .zd import has_root_of_unity_eigenvalue, integer_fixed_vector, make_zd
@@ -89,11 +90,10 @@ class IccVerdict:
 def generator_letter_words(oracle: BaseOracle) -> list[HnnWord]:
     """The one-letter words t, t^-1, then each base generator and its
     inverse, marked reduced."""
-    e = oracle.identity
-    words = [_reduced_word(oracle, e, ((1, e),)), _reduced_word(oracle, e, ((-1, e),))]
+    words = [stable_word(oracle, 1), stable_word(oracle, -1)]
     for g in oracle.generators():
-        words.append(_reduced_word(oracle, g, ()))
-        words.append(_reduced_word(oracle, oracle.inv(g), ()))
+        words.append(base_word(oracle, g))
+        words.append(base_word(oracle, oracle.inv(g)))
     return words
 
 

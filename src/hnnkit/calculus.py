@@ -13,7 +13,8 @@ multiplication, inversion, conjugation, equality, cyclic reduction with an
 explicit conjugator certificate, and the iterated partial maps phi^j.
 
 Reduced words are an invariant that holds by construction.  :func:`mul`,
-:func:`inv`, :func:`britton_reduce`, the word of :func:`normalize` and
+:func:`inv`, :func:`britton_reduce`, the constructors :func:`identity_word`,
+:func:`base_word` and :func:`stable_word`, the word of :func:`normalize` and
 ``VertexLabel.word()`` in :mod:`hnnkit.tree` return words marked pinch-free.
 A word built directly with ``HnnWord(...)`` (or by :func:`parse_word`) is
 treated as unreduced.  ``mul`` reduces an unmarked operand first; it then
@@ -22,6 +23,12 @@ cancels pinches only at the seam, because by Britton's lemma (Lyndon-Schupp,
 product of two reduced words.  ``inv`` of a marked word and
 ``britton_reduce`` of a marked word do no reduction at all; an unmarked word
 that ``britton_reduce`` finds pinch-free is marked in place.
+
+The sign convention of Britton's rule, t^-1 h t = phi(h) for h in H and
+t k t^-1 = phi^-1(k) for k in K, is written out once: ``_is_pinch`` tests
+membership, ``_unpinch`` also applies phi or phi^-1, and ``_split`` is the
+carry step of a normal form, which splits a syllable by its coset and maps
+the subgroup part across the stable letter.
 
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
@@ -245,11 +252,11 @@ class NormalForm:
 
 
 def identity_word(oracle: BaseOracle) -> HnnWord:
-    return HnnWord(oracle, oracle.identity)
+    return _reduced_word(oracle, oracle.identity, ())
 
 
 def base_word(oracle: BaseOracle, x) -> HnnWord:
-    return HnnWord(oracle, x)
+    return _reduced_word(oracle, x, ())
 
 
 def stable_word(oracle: BaseOracle, sign: int = 1, count: int = 1) -> HnnWord:
@@ -259,7 +266,7 @@ def stable_word(oracle: BaseOracle, sign: int = 1, count: int = 1) -> HnnWord:
     if count < 0:
         raise ValueError("count must be nonnegative")
     e = oracle.identity
-    return HnnWord(oracle, e, ((sign, e),) * count)
+    return _reduced_word(oracle, e, ((sign, e),) * count)
 
 
 def _reduced_word(oracle: BaseOracle, head, tail: tuple) -> HnnWord:
@@ -275,33 +282,62 @@ def _same_oracle(u: HnnWord, v: HnnWord) -> BaseOracle:
     return u.oracle
 
 
+def _is_pinch(oracle: BaseOracle, s1: int, x, s2: int) -> bool:
+    """Whether ``t^s1 x t^s2`` is a pinch."""
+    if s1 == -1 and s2 == 1:
+        return oracle.in_H(x)
+    if s1 == 1 and s2 == -1:
+        return oracle.in_K(x)
+    return False
+
+
+def _unpinch(oracle: BaseOracle, s1: int, x, s2: int):
+    """The base element ``t^s1 x t^s2`` equals when it is a pinch:
+    ``phi(x)`` for ``t^-1 x t``, ``phi^-1(x)`` for ``t x t^-1``.  None when
+    it is not a pinch."""
+    if not _is_pinch(oracle, s1, x, s2):
+        return None
+    return oracle.phi(x) if s1 == -1 else oracle.phi_inv(x)
+
+
+def _split(oracle: BaseOracle, sign: int, x, next_sign: int):
+    """``(carry, rep)`` with ``t^sign x == carry t^sign rep``: ``x = s rep``
+    with ``s`` in K (sign +1) or H (sign -1) and ``rep`` the canonical
+    right-coset representative, and ``carry`` is ``phi^-1(s)`` resp.
+    ``phi(s)``.
+
+    ``next_sign`` is the sign of the stable letter after ``rep``, or 0 when
+    none follows.  ``t^sign rep t^next_sign`` must not be a pinch; as a
+    representative lies in its subgroup only when it is the identity, a
+    pinch there means a decomposition broke its contract.
+    """
+    if sign == 1:
+        s, rep = oracle.decompose_left_K(x)
+        carry = oracle.phi_inv(s)
+    else:
+        s, rep = oracle.decompose_left_H(x)
+        carry = oracle.phi(s)
+    if sign == -next_sign and oracle.is_identity(rep):
+        raise VerificationError("pinch re-created during canonicalization")
+    return carry, rep
+
+
 def _reduce(oracle: BaseOracle, head, tail):
     """One full leftmost-innermost pinch-removal pass over a token stream."""
-    in_H, in_K = oracle.in_H, oracle.in_K
-    phi, phi_inv, omul = oracle.phi, oracle.phi_inv, oracle.mul
+    omul = oracle.mul
     stack: list[tuple[int, Any]] = []
     for sign, elem in tail:
+        x = _unpinch(oracle, *stack[-1], sign) if stack else None
+        if x is None:
+            stack.append((sign, elem))
+            continue
+        stack.pop()
+        merged = omul(x, elem)
         if stack:
-            tsign, telem = stack[-1]
-            if tsign == -1 and sign == 1 and in_H(telem):
-                stack.pop()
-                merged = omul(phi(telem), elem)
-                if stack:
-                    psign, pelem = stack[-1]
-                    stack[-1] = (psign, omul(pelem, merged))
-                else:
-                    head = omul(head, merged)
-                continue
-            if tsign == 1 and sign == -1 and in_K(telem):
-                stack.pop()
-                merged = omul(phi_inv(telem), elem)
-                if stack:
-                    psign, pelem = stack[-1]
-                    stack[-1] = (psign, omul(pelem, merged))
-                else:
-                    head = omul(head, merged)
-                continue
-        stack.append((sign, elem))
+            psign, pelem = stack[-1]
+            stack[-1] = (psign, omul(pelem, merged))
+        else:
+            head = omul(head, merged)
     return head, tuple(stack)
 
 
@@ -317,27 +353,16 @@ def _seam(oracle: BaseOracle, head, tail, vhead, vtail):
     i, j, n = len(tail), 0, len(vtail)
     mid = omul(tail[-1][1] if i else head, vhead)
     while i and j < n:
-        sign = tail[i - 1][0]
         vsign, elem = vtail[j]
-        if sign == -1 and vsign == 1 and oracle.in_H(mid):
-            mid = oracle.phi(mid)
-        elif sign == 1 and vsign == -1 and oracle.in_K(mid):
-            mid = oracle.phi_inv(mid)
-        else:
+        x = _unpinch(oracle, tail[i - 1][0], mid, vsign)
+        if x is None:
             break
         i -= 1
         j += 1
-        mid = omul(tail[i - 1][1] if i else head, omul(mid, elem))
+        mid = omul(tail[i - 1][1] if i else head, omul(x, elem))
     if not i:
         return mid, vtail[j:]
     return head, tail[: i - 1] + ((tail[i - 1][0], mid),) + vtail[j:]
-
-
-def _pinch_free(w: HnnWord):
-    """``(head, tail)`` of the reduced form of ``w``."""
-    if w._reduced:
-        return w.head, w.tail
-    return _reduce(w.oracle, w.head, w.tail)
 
 
 def britton_reduce(w: HnnWord) -> HnnWord:
@@ -368,7 +393,8 @@ def mul(u: HnnWord, v: HnnWord) -> HnnWord:
     factors are then joined by seam-only cancellation.
     """
     oracle = _same_oracle(u, v)
-    return _reduced_word(oracle, *_seam(oracle, *_pinch_free(u), *_pinch_free(v)))
+    u, v = britton_reduce(u), britton_reduce(v)
+    return _reduced_word(oracle, *_seam(oracle, u.head, u.tail, v.head, v.tail))
 
 
 def inv(u: HnnWord) -> HnnWord:
@@ -395,36 +421,27 @@ def conjugate(g: HnnWord, x: HnnWord) -> HnnWord:
 def normalize(w: HnnWord) -> NormalForm:
     """Britton-reduce, then canonicalize in one right-to-left pass.
 
-    For i = n down to 1 the segment ``lam_i`` is split as ``s * r`` (``s`` in
-    K when the preceding letter is t, in H when it is t^-1; ``r`` the
-    canonical right-coset representative), ``lam_i`` is replaced by ``r`` and
-    ``phi^-1(s)`` resp. ``phi(s)`` is pushed into ``lam_{i-1}``.  A left push
-    never re-creates a pinch because a representative lies in the subgroup
-    only when it is the identity.
+    For i = n down to 1 the segment ``lam_i`` is split by :func:`_split`
+    into its canonical representative, which replaces it, and a carry, which
+    is pushed into ``lam_{i-1}``.  A left push never re-creates a pinch
+    because a representative lies in the subgroup only when it is the
+    identity; ``_split`` checks that.
     """
     oracle = w.oracle
     r = britton_reduce(w)
     head = r.head
     tail = list(r.tail)
+    next_sign = 0
     for j in range(len(tail) - 1, -1, -1):
         sign, elem = tail[j]
-        if sign == 1:
-            s, rep = oracle.decompose_left_K(elem)
-            carry = oracle.phi_inv(s)
-        else:
-            s, rep = oracle.decompose_left_H(elem)
-            carry = oracle.phi(s)
+        carry, rep = _split(oracle, sign, elem, next_sign)
         tail[j] = (sign, rep)
+        next_sign = sign
         if j:
             psign, pelem = tail[j - 1]
             tail[j - 1] = (psign, oracle.mul(pelem, carry))
         else:
             head = oracle.mul(head, carry)
-    for j in range(len(tail) - 1):
-        s1, e1 = tail[j]
-        s2 = tail[j + 1][0]
-        if s1 == -s2 and oracle.is_identity(e1):
-            raise VerificationError("pinch re-created during canonicalization")
     return NormalForm(_reduced_word(oracle, head, tuple(tail)))
 
 
@@ -467,7 +484,7 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
         if not _is_pinch(oracle, last_sign, wrap, first_sign):
             break
         e = oracle.identity
-        prefix = HnnWord(oracle, c.head, ((first_sign, e),))
+        prefix = _reduced_word(oracle, c.head, ((first_sign, e),))
         # the rotation lam_1 ... t^s_n wrap t^s_1 is pinch-free up to its
         # last letter, so the wrap pinch cancels at a seam
         rotated = c.tail[1:-1] + ((last_sign, wrap),)
@@ -503,24 +520,13 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, lis
     # every adjacency but the wrap join lies in the pinch-free core
     if _is_pinch(oracle, signs[-1], syllables[-1][1], signs[0]):
         raise VerificationError("rotation of a cyclic core must stay reduced")
+    # nexts[i] is the sign of the syllable after i in a rotation that does
+    # not end at i; a one-syllable core follows itself, and t^s r t^s is
+    # never a pinch
+    nexts = signs[1:] + signs[:1]
     unset = object()
     carries = [unset] * n
     pairs: list = [None] * n
-
-    def settle(i, carry, followed):
-        """Normal-form syllable i under ``carry``; returns the carry out."""
-        carries[i] = carry
-        x = oracle.mul(syllables[i][1], carry)
-        if signs[i] == 1:
-            s, rep = oracle.decompose_left_K(x)
-            out = oracle.phi_inv(s)
-        else:
-            s, rep = oracle.decompose_left_H(x)
-            out = oracle.phi(s)
-        pairs[i] = (signs[i], rep)
-        if followed and signs[i] == -signs[(i + 1) % n] and oracle.is_identity(rep):
-            raise VerificationError("pinch re-created during canonicalization")
-        return out
 
     def text(k, head, nf):
         return _format_chunks(oracle, head, (nf[i] for i in chain(range(k, n), range(k))))
@@ -533,9 +539,16 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, lis
             if carries[i] == carry:
                 carry = head
                 break
-            carry = settle(i, carry, step > 0)
+            carries[i] = carry
+            # step 0 is the rotation's last syllable: nothing follows it
+            carry, rep = _split(
+                oracle, signs[i], oracle.mul(syllables[i][1], carry), nexts[i] if step else 0
+            )
+            pairs[i] = (signs[i], rep)
         k %= n
-        head = settle(k, carry, n > 1)
+        carries[k] = carry
+        head, rep = _split(oracle, signs[k], oracle.mul(syllables[k][1], carry), nexts[k])
+        pairs[k] = (signs[k], rep)
         if best is None:
             best = (k, head, list(pairs))
             continue
@@ -545,15 +558,6 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, lis
         if order < 0 or order == 0 and best[0]:
             best = (k, head, list(pairs))
     return best
-
-
-def _is_pinch(oracle: BaseOracle, s1: int, x, s2: int) -> bool:
-    """Whether ``t^s1 x t^s2`` is a pinch."""
-    if s1 == -1 and s2 == 1:
-        return oracle.in_H(x)
-    if s1 == 1 and s2 == -1:
-        return oracle.in_K(x)
-    return False
 
 
 def _compare_text(xs: Iterator[str], ys: Iterator[str]) -> int:

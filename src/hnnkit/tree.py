@@ -26,6 +26,7 @@ from .calculus import (
     VerificationError,
     _reduced_word,
     _seam,
+    _unpinch,
     base_word,
     britton_reduce,
     cyclic_reduce,
@@ -34,7 +35,6 @@ from .calculus import (
     identity_word,
     inv,
     mul,
-    stable_word,
 )
 from .bs import make_bs
 
@@ -197,18 +197,6 @@ def distance(u: VertexLabel, v: VertexLabel) -> int:
     return (len(u.path) - common) + (len(v.path) - common)
 
 
-def _conjugate_by_step(oracle: BaseOracle, head, tail, rep, sign: int):
-    """``x^-1 w x`` for the path step ``x = rep t^sign`` and a pinch-free
-    ``w = (head, tail)``, as a pinch-free ``(head, tail)`` pair.
-
-    If w is v^-1 gamma v, the result is u^-1 gamma u for the vertex u one
-    step past v, and its stable-letter count is distance(u, gamma u).
-    """
-    e = oracle.identity
-    head, tail = _seam(oracle, e, ((-sign, oracle.inv(rep)),), head, tail)
-    return _seam(oracle, head, tail, rep, ((sign, e),))
-
-
 def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
     """Vertices within the given distance of the base vertex, in BFS order."""
     if radius < 0:
@@ -231,11 +219,15 @@ def _descend(gamma: HnnWord, radius: Optional[int] = None):
     ``radius``: the vertex v where it stops, with v^-1 gamma v as a pinch-free
     ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v)."""
     oracle = gamma.oracle
+    e = oracle.identity
     g = britton_reduce(gamma)
     v, head, tail = base_vertex(oracle), g.head, g.tail
     while tail and (radius is None or v.depth < radius):
         for edge in neighbors(v):
-            h, t = _conjugate_by_step(oracle, head, tail, edge.rep, edge.sign)
+            # x^-1 (v^-1 gamma v) x for the step x = rep t^sign is u^-1 gamma u
+            # for the vertex u past the edge
+            h, t = _seam(oracle, e, ((-edge.sign, oracle.inv(edge.rep)),), head, tail)
+            h, t = _seam(oracle, h, t, edge.rep, ((edge.sign, e),))
             # strictly fewer: the displacement stays equal along an axis, so
             # only a strict drop makes the walk terminate
             if len(t) < len(tail):
@@ -278,11 +270,6 @@ class IsometryClass:
     axis_sample: Optional[tuple[VertexLabel, ...]] = None
 
 
-def _core_syllable_words(core: HnnWord) -> list[HnnWord]:
-    oracle = core.oracle
-    return [HnnWord(oracle, oracle.identity, (pair,)) for pair in core.tail]
-
-
 def _axis_labels(
     conj: HnnWord, core: HnnWord, periods: int, backward: bool = False
 ) -> list[VertexLabel]:
@@ -295,11 +282,12 @@ def _axis_labels(
     oracle = core.oracle
     word = core if not backward else inv(core)
     head = base_word(oracle, word.head)
+    sylls = [_reduced_word(oracle, oracle.identity, (pair,)) for pair in word.tail]
     g = conj
     labels = [to_vertex_label(g)]
     for _ in range(periods):
         g = mul(g, head)
-        for syll in _core_syllable_words(word):
+        for syll in sylls:
             g = mul(g, syll)
             labels.append(to_vertex_label(g))
     return labels
@@ -308,6 +296,8 @@ def _axis_labels(
 def classify(gamma: HnnWord, sample_periods: int = 3) -> IsometryClass:
     """Elliptic when the cyclic core is a base element, else hyperbolic with
     translation length the core's stable-letter count."""
+    # reduced once here, so that each act(gamma, v) below reuses it
+    gamma = britton_reduce(gamma)
     core, conj = cyclic_reduce(gamma)
     if not core.tail:
         witness = to_vertex_label(conj)
@@ -344,7 +334,8 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
         return frozenset(), False
     # every other fixed vertex lies below the entry, and the entry's parent
     # is not fixed, so the search only steps down: from a fixed v (whose
-    # conjugate is the base element c) to each child
+    # conjugate is the base element c) to each child u = v rep t^sign, which
+    # is fixed when t^-sign rep^-1 c rep t^sign is a pinch
     oracle = gamma.oracle
     fixed = {entry}
     frontier = [(entry, c)]
@@ -357,10 +348,11 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
                 u = edge.target
                 if u.depth < v.depth:
                     continue
-                head, tail = _conjugate_by_step(oracle, c, (), edge.rep, edge.sign)
-                if not tail:
+                x = oracle.mul(oracle.inv(edge.rep), oracle.mul(c, edge.rep))
+                x = _unpinch(oracle, -edge.sign, x, edge.sign)
+                if x is not None:
                     fixed.add(u)
-                    nxt.append((u, head))
+                    nxt.append((u, x))
         frontier = nxt
     touches = any(v.depth == radius for v in fixed)
     return frozenset(fixed), touches
@@ -377,38 +369,22 @@ def unbounded_fixed_witness_bs(
     c = a b a^-1 b^-1 and fixes c^l L at distance 2l.
     """
     oracle = make_bs(m, n)
-    b = 1
-
+    # the tail of the word whose l-th power names the l-th vertex: t, t^-1,
+    # or the commutator t b t^-1 b^-1
     if m % n == 0:
-        gamma = base_word(oracle, n)
-
-        def family(l: int) -> VertexLabel:
-            return to_vertex_label(stable_word(oracle, 1, l))
-
-        expected_distance = lambda l: l
+        gamma, step = base_word(oracle, n), ((1, 0),)
     elif n % m == 0:
-        gamma = base_word(oracle, m)
-
-        def family(l: int) -> VertexLabel:
-            return to_vertex_label(stable_word(oracle, -1, l))
-
-        expected_distance = lambda l: l
+        gamma, step = base_word(oracle, m), ((-1, 0),)
     else:
-        gamma = base_word(oracle, n)
-        comm = HnnWord(oracle, oracle.identity, ((1, b), (-1, -b)))
+        gamma, step = base_word(oracle, n), ((1, 1), (-1, -1))
 
-        def family(l: int) -> VertexLabel:
-            g = identity_word(oracle)
-            for _ in range(l):
-                g = mul(g, comm)
-            return to_vertex_label(g)
-
-        expected_distance = lambda l: 2 * l
+    def family(l: int) -> VertexLabel:
+        return to_vertex_label(HnnWord(oracle, oracle.identity, step * l))
 
     origin = base_vertex(oracle)
     for l in range(check_range + 1):
         v = family(l)
-        if act(gamma, v) != v or distance(origin, v) != expected_distance(l):
+        if act(gamma, v) != v or distance(origin, v) != len(step) * l:
             raise VerificationError(f"unbounded fixed family fails at index {l}")
     return gamma, family
 

@@ -89,3 +89,18 @@ def test_no_orphaned_private_definitions():
         and node.name not in used
     ]
     assert found == []
+
+
+def test_only_split_decomposes_on_the_left():
+    # the carry rule of a normal form (which subgroup a syllable is split
+    # by, and which way the carry is mapped) lives in calculus._split alone
+    names = ("decompose_left_H", "decompose_left_K")
+    found = [
+        f"{path.name}:{node.lineno} {func.name}"
+        for path, tree in parsed_sources()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (path.name, func.name) != ("calculus.py", "_split")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert found == []

@@ -38,7 +38,7 @@ from hnnkit import (
     tree_dot,
     unbounded_fixed_witness_bs,
 )
-from hnnkit import cli, tree
+from hnnkit import calculus, cli, tree
 from hnnkit.tree import _geodesic
 
 
@@ -48,6 +48,7 @@ def rand_word(oracle, rng, letters, max_len=6):
 
 
 BS_LETTERS = ["a", "a^-1", "b", "b^-1"]
+ZD_LETTERS = ["t", "t^-1", "e1", "e1^-1", "e2", "e2^-1"]
 
 
 # --- labels, neighbors, distance -------------------------------------------
@@ -180,6 +181,23 @@ def test_classify_conjugate_elliptic(bs23):
     assert act(parse_word(bs23, "a b^3 a^-1"), cls.fixed_vertex) == cls.fixed_vertex
 
 
+@pytest.mark.parametrize("text", ["a^-1 b a b a", "a^-1 b^3 a a b"])
+def test_classify_reduces_its_input_once(bs23, monkeypatch, text):
+    # the input has pinches; the core, the conjugator and every word the
+    # checks multiply by are built reduced
+    g = parse_word(bs23, text)
+    calls = []
+    real = calculus._reduce
+
+    def _reduce(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "_reduce", _reduce)
+    classify(g)
+    assert calls == [(bs23, g.head, g.tail)]
+
+
 def test_min_displacement_examples(bs23):
     assert min_displacement_bfs(base_word(bs23, 1), 0) == (0, base_vertex(bs23))
     value, argmin = min_displacement_bfs(stable_word(bs23), 3)
@@ -286,6 +304,26 @@ def test_fixed_subtree_matches_brute_force_on_random_words(m, n):
         assert fixed == brute, str(g)
         assert touches == any(v.depth == 4 for v in brute), str(g)
     assert elliptic >= 10
+
+
+@pytest.mark.parametrize("rows", [((2, 0), (0, 2)), ((1, 1), (-1, 2))])
+def test_fixed_subtree_matches_brute_force_over_zd(rows):
+    # [L:K] = |det M| > 1: a vertex has a child v r t^-1 for each residue r,
+    # fixed when t x t^-1 is a pinch (x in K = M Z^2, mapped by phi^-1)
+    oracle = make_zd(rows)
+    vs = ball(oracle, 3)
+    rng = random.Random(59)
+    several = 0
+    for _ in range(80):
+        g = rand_word(oracle, rng, ZD_LETTERS, 8)
+        if classify(g).kind != ELLIPTIC:
+            continue
+        fixed, touches = fixed_subtree(g, 3)
+        brute = {v for v in vs if act(g, v) == v}
+        assert fixed == brute, str(g)
+        assert touches == any(v.depth == 3 for v in brute), str(g)
+        several += len(fixed) > 1
+    assert several >= 20
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (2, -2)])
