@@ -478,17 +478,14 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     while c.tail:
         first_sign = c.tail[0][0]
         last_sign, last_elem = c.tail[-1]
-        if first_sign != -last_sign:
+        x = _unpinch(oracle, last_sign, oracle.mul(last_elem, c.head), first_sign)
+        if x is None:
             break
-        wrap = oracle.mul(last_elem, c.head)
-        if not _is_pinch(oracle, last_sign, wrap, first_sign):
-            break
-        e = oracle.identity
-        prefix = _reduced_word(oracle, c.head, ((first_sign, e),))
-        # the rotation lam_1 ... t^s_n wrap t^s_1 is pinch-free up to its
-        # last letter, so the wrap pinch cancels at a seam
-        rotated = c.tail[1:-1] + ((last_sign, wrap),)
-        c = _reduced_word(oracle, *_seam(oracle, c.tail[0][1], rotated, e, ((first_sign, e),)))
+        prefix = _reduced_word(oracle, c.head, ((first_sign, oracle.identity),))
+        # the rotation lam_1 t^s_2 ... lam_n-1 t^s_n wrap t^s_1 ends in the
+        # wrap pinch, which is the base element x, so it is lam_1 t^s_2 ...
+        # lam_n-1 times x, joined at a seam
+        c = _reduced_word(oracle, *_seam(oracle, c.tail[0][1], c.tail[1:-1], x, ()))
         g = mul(g, prefix)
     if not c.tail:
         return c, g

@@ -7,6 +7,13 @@ from the base vertex (a sequence of coset-representative steps), which makes
 the tree metric a prefix computation and the ball enumeration free of
 equality checks.
 
+The walks (``ball``, ``fixed_subtree`` and the descent to Min gamma) extend
+bare path tuples through one child-step table, which lists the steps from a
+vertex to its children by the sign of the path's last step; no per-edge
+object is built, and a label wraps only a vertex that is returned.  A label
+hashes by its path alone.  ``ball`` predicts its size in closed form and
+refuses a request over a million vertices before enumerating anything.
+
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
 stable-letter length.  The minimum displacement is also found without the
@@ -123,6 +130,11 @@ class VertexLabel:
             return VertexLabel(self.oracle, self.path[:-1])
         return VertexLabel(self.oracle, self.path + ((rep, sign),))
 
+    def __hash__(self) -> int:
+        # the path alone: equal labels have equal paths, and the oracle,
+        # which __eq__ still compares, is costly to rehash per label
+        return hash(self.path)
+
     def __str__(self) -> str:
         return label_str(self)
 
@@ -197,45 +209,82 @@ def distance(u: VertexLabel, v: VertexLabel) -> int:
     return (len(u.path) - common) + (len(v.path) - common)
 
 
+def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
+    """The steps ``(rep, sign)`` from a vertex to its children, keyed by the
+    sign of the last step of its path (0 at the base vertex): the edges of
+    :func:`neighbors` in its order, less the one backtracking step
+    ``(identity, -last_sign)``."""
+    steps = [(rep, 1) for rep in oracle.h_transversal()]
+    steps += [(rep, -1) for rep in oracle.k_transversal()]
+    return {
+        last: [(rep, sign) for rep, sign in steps if sign != -last or not oracle.is_identity(rep)]
+        for last in (0, 1, -1)
+    }
+
+
+# a ball predicted to hold more vertices than this is refused
+_BALL_LIMIT = 10**6
+
+
+def _ball_size(degree: int, radius: int) -> int:
+    """Vertices within ``radius`` of a vertex of the ``degree``-regular tree:
+    the base vertex has ``degree`` neighbors and every other vertex
+    ``degree - 1`` children."""
+    if degree == 2:
+        return 1 + 2 * radius
+    return 1 + degree * ((degree - 1) ** radius - 1) // (degree - 2)
+
+
 def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
-    """Vertices within the given distance of the base vertex, in BFS order."""
+    """Vertices within the given distance of the base vertex, in BFS order.
+
+    A ball of more than a million vertices is refused before anything is
+    built."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    vs = [base_vertex(oracle)]
+    degree = len(oracle.h_transversal()) + len(oracle.k_transversal())
+    # with a degree above 2 the ball has more than 2^radius vertices, so a
+    # radius past the limit's bit length is refused without the power
+    huge = degree > 2 and radius > _BALL_LIMIT.bit_length()
+    if huge or _ball_size(degree, radius) > _BALL_LIMIT:
+        raise ValueError(f"a tree ball of radius {radius} holds more than {_BALL_LIMIT} vertices")
+    steps = _child_steps(oracle)
+    paths = [()]
     start = 0
     for _ in range(radius):
-        end = len(vs)
-        for v in vs[start:end]:
-            for edge in neighbors(v):
-                u = edge.target
-                if u.depth > v.depth:
-                    vs.append(u)
+        end = len(paths)
+        for path in paths[start:end]:
+            paths += [path + (step,) for step in steps[path[-1][1] if path else 0]]
         start = end
-    return vs
+    return [VertexLabel(oracle, path) for path in paths]
 
 
 def _descend(gamma: HnnWord, radius: Optional[int] = None):
     """Greedy walk from the base vertex towards Min gamma, to depth at most
     ``radius``: the vertex v where it stops, with v^-1 gamma v as a pinch-free
-    ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v)."""
+    ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v).
+
+    The walk never tries the step back to the parent: it reached v by a
+    strict drop of distance(v, gamma v), so stepping back is never one."""
     oracle = gamma.oracle
     e = oracle.identity
+    steps = _child_steps(oracle)
     g = britton_reduce(gamma)
-    v, head, tail = base_vertex(oracle), g.head, g.tail
-    while tail and (radius is None or v.depth < radius):
-        for edge in neighbors(v):
+    path, head, tail = (), g.head, g.tail
+    while tail and (radius is None or len(path) < radius):
+        for rep, sign in steps[path[-1][1] if path else 0]:
             # x^-1 (v^-1 gamma v) x for the step x = rep t^sign is u^-1 gamma u
-            # for the vertex u past the edge
-            h, t = _seam(oracle, e, ((-edge.sign, oracle.inv(edge.rep)),), head, tail)
-            h, t = _seam(oracle, h, t, edge.rep, ((edge.sign, e),))
+            # for the child u past the edge
+            h, t = _seam(oracle, e, ((-sign, oracle.inv(rep)),), head, tail)
+            h, t = _seam(oracle, h, t, rep, ((sign, e),))
             # strictly fewer: the displacement stays equal along an axis, so
             # only a strict drop makes the walk terminate
             if len(t) < len(tail):
-                v, head, tail = edge.target, h, t
+                path, head, tail = path + ((rep, sign),), h, t
                 break
         else:
             break
-    return v, head, tail
+    return VertexLabel(oracle, path), head, tail
 
 
 def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]:
@@ -333,29 +382,29 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     if entry.depth > radius:
         return frozenset(), False
     # every other fixed vertex lies below the entry, and the entry's parent
-    # is not fixed, so the search only steps down: from a fixed v (whose
-    # conjugate is the base element c) to each child u = v rep t^sign, which
-    # is fixed when t^-sign rep^-1 c rep t^sign is a pinch
+    # is not fixed, so the search only steps down, one level at a time: from
+    # a fixed v (whose conjugate is the base element c) to each child
+    # u = v rep t^sign, which is fixed when t^-sign rep^-1 c rep t^sign is a
+    # pinch.  Only the fixed children get a label.
     oracle = gamma.oracle
-    fixed = {entry}
-    frontier = [(entry, c)]
-    while frontier:
+    omul, oinv = oracle.mul, oracle.inv
+    steps = _child_steps(oracle)
+    fixed = [entry]
+    level = [(entry.path, c)]
+    depth = entry.depth
+    while depth < radius:
         nxt = []
-        for v, c in frontier:
-            if v.depth == radius:
-                continue
-            for edge in neighbors(v):
-                u = edge.target
-                if u.depth < v.depth:
-                    continue
-                x = oracle.mul(oracle.inv(edge.rep), oracle.mul(c, edge.rep))
-                x = _unpinch(oracle, -edge.sign, x, edge.sign)
+        for path, c in level:
+            for rep, sign in steps[path[-1][1] if path else 0]:
+                x = _unpinch(oracle, -sign, omul(oinv(rep), omul(c, rep)), sign)
                 if x is not None:
-                    fixed.add(u)
-                    nxt.append((u, x))
-        frontier = nxt
-    touches = any(v.depth == radius for v in fixed)
-    return frozenset(fixed), touches
+                    nxt.append((path + ((rep, sign),), x))
+        if not nxt:
+            break
+        fixed += [VertexLabel(oracle, path) for path, _ in nxt]
+        level = nxt
+        depth += 1
+    return frozenset(fixed), depth == radius
 
 
 def unbounded_fixed_witness_bs(

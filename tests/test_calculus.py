@@ -658,6 +658,25 @@ def test_cyclic_reduce_checks_the_wrap_join(monkeypatch):
     assert calls == [1, 1]
 
 
+def test_cyclic_reduce_tests_each_wrap_pinch_once(monkeypatch):
+    oracle = make_bs(2, 3)
+    w = britton_reduce(parse_word(oracle, "a^3 b a b^-1 a^-3"))
+    calls = []
+    for name in ("in_H", "in_K"):
+        real = getattr(BsOracle, name)
+
+        def member(self, x, real=real):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(BsOracle, name, member)
+    core, conj = cyclic_reduce(w)
+    # three wrap rotations, one membership test each; the core's one
+    # syllable has no wrap join to test
+    assert (format_word(core), format_word(conj)) == ("a", "a^3 b")
+    assert calls == [0, 0, 0]
+
+
 def test_cyclic_reduce_checks_recomputed_syllables(monkeypatch):
     oracle = make_bs(2, 3)
     w = parse_word(oracle, "a b a^-1 b^2")

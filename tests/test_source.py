@@ -104,3 +104,16 @@ def test_only_split_decomposes_on_the_left():
         if isinstance(node, ast.Attribute) and node.attr in names
     ]
     assert found == []
+
+
+def test_nothing_enumerates_the_tree_through_neighbors():
+    # internal tree walks step through tree._child_steps; neighbors builds an
+    # EdgeRef per edge and a label per target, and is kept for callers only
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "neighbors" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []

@@ -91,6 +91,84 @@ def test_degree_is_abs_m_plus_abs_n(m, n):
         assert len(neighbors(v)) == abs(m) + abs(n)
 
 
+def reference_ball(oracle, radius):
+    """The ball as a BFS over neighbors, keeping each edge whose target lies
+    deeper than its source."""
+    vs = [base_vertex(oracle)]
+    start = 0
+    for _ in range(radius):
+        end = len(vs)
+        for v in vs[start:end]:
+            vs += [e.target for e in neighbors(v) if e.target.depth > v.depth]
+        start = end
+    return vs
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [make_bs(2, 3), make_bs(2, -2), make_bs(-3, 4), make_zd(((2, 0), (0, 2)))],
+    ids=["BS(2,3)", "BS(2,-2)", "BS(-3,4)", "Z2-diag2"],
+)
+def test_ball_matches_neighbor_bfs(oracle):
+    for r in range(5):
+        assert ball(oracle, r) == reference_ball(oracle, r)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [make_bs(2, 3), make_bs(4, 6), make_zd(((2, 1), (1, 1)))],
+    ids=["BS(2,3)", "BS(4,6)", "Z2-fib"],
+)
+def test_ball_size_formula(oracle):
+    # the last has [L:H] + [L:K] = 2: the tree is a line
+    degree = len(oracle.h_transversal()) + len(oracle.k_transversal())
+    for r in range(5):
+        assert tree._ball_size(degree, r) == len(ball(oracle, r))
+
+
+def test_ball_refuses_an_oversized_request_up_front(monkeypatch, capsys):
+    assert tree._ball_size(5, 9) == 436_906 <= tree._BALL_LIMIT
+    assert tree._ball_size(5, 10) == 1_747_626 > tree._BALL_LIMIT
+
+    # the refusal comes before any enumeration, so no big ball is ever built
+    def enumerate_steps(oracle):
+        pytest.fail("an oversized ball was enumerated")
+
+    monkeypatch.setattr(tree, "_child_steps", enumerate_steps)
+    line = make_zd(((2, 1), (1, 1)))
+    for oracle, radius in [(make_bs(2, 3), 10), (make_bs(2, 3), 10**9), (line, 10**6)]:
+        with pytest.raises(ValueError, match=f"radius {radius} "):
+            ball(oracle, radius)
+    code = cli.main(["--m", "2", "--n", "3", "tree-dot", "--radius", "10"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_fixed_subtree_labels_only_fixed_vertices(bs23, monkeypatch):
+    built = []
+
+    class Counted(tree.VertexLabel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(tree, "VertexLabel", Counted)
+    fixed, touches = fixed_subtree(parse_word(bs23, "b^6"), 4)
+    assert touches and len(fixed) > 20
+    assert len(built) <= len(fixed) + 1
+
+
+def test_equal_labels_hash_equal_across_oracles():
+    bs23, bs32 = make_bs(2, 3), make_bs(3, 2)
+    u = to_vertex_label(parse_word(bs23, "a b a^-1 b^-1"))
+    same = tree.VertexLabel(make_bs(2, 3), u.path)
+    assert u == same and hash(u) == hash(same)
+    # the same path over another oracle names another vertex
+    other = tree.VertexLabel(bs32, u.path)
+    assert u != other and len({u, other}) == 2
+
+
 def test_to_vertex_label_examples(bs23):
     assert to_vertex_label(parse_word(bs23, "b^5")) == base_vertex(bs23)
     lbl = to_vertex_label(parse_word(bs23, "a b a^-1 b^-1"))
