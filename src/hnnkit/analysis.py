@@ -32,7 +32,7 @@ from .calculus import (
     phi_iter,
     stable_word,
 )
-from .bs import BsOracle, BsParams, dom_phi_j_closed_form, make_bs
+from .bs import BsOracle, dom_phi_j_closed_form, make_bs
 from .zd import has_root_of_unity_eigenvalue, integer_fixed_vector, make_zd
 
 __all__ = [
@@ -119,10 +119,9 @@ def icc_decide_bs(m: int, n: int) -> IccVerdict:
     When m = n the class of b^m is {b^m} (central element); when m = -n it is
     {b^m, b^-m}.  Witness closure is verified before returning.
     """
-    params = BsParams(m, n)
+    oracle = make_bs(m, n)
     if abs(m) != abs(n):
         return IccVerdict(ICC)
-    oracle = make_bs(m, n)
     if m == n:
         witness = (base_word(oracle, m),)
     else:
@@ -168,8 +167,8 @@ def thm1_hypothesis_bs(m: int, n: int, j_max: int) -> bool:
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    params = BsParams(m, n)
     oracle = make_bs(m, n)
+    params = oracle.params
     result = True
     for j in range(1, j_max + 1):
         arithmetic_fixed = params.m1 ** j == params.n1 ** j
@@ -238,9 +237,6 @@ class FolnerChain:
     def k(self) -> int:
         return len(self.elements) - 1
 
-    def words(self) -> tuple[HnnWord, ...]:
-        return tuple(base_word(self.oracle, h) for h in self.elements)
-
     def verify(self, require_distinct: bool, interior_only: bool = False) -> None:
         """Check the phi-links, nontriviality, centrality and H/K membership.
 
@@ -286,9 +282,7 @@ def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
     return chain
 
 
-def folner_chain_ascending(
-    oracle: BaseOracle, lam, k: int, require_distinct: bool = False
-) -> FolnerChain:
+def folner_chain_ascending(oracle: BaseOracle, lam, k: int) -> FolnerChain:
     """The chain phi^0(lam), ..., phi^k(lam) for an ascending oracle
     (H = whole base group) with abelian base; verified."""
     if k < 1:
@@ -305,7 +299,7 @@ def folner_chain_ascending(
         cur = oracle.phi(cur)
         elements.append(cur)
     chain = FolnerChain(oracle, f"{oracle.name} ascending", tuple(elements))
-    chain.verify(require_distinct=require_distinct, interior_only=True)
+    chain.verify(require_distinct=False, interior_only=True)
     return chain
 
 

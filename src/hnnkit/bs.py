@@ -108,9 +108,6 @@ class BsOracle(BaseOracle):
     def base_letters(self):
         return {"b": 1}
 
-    def generators(self) -> tuple:
-        return (1,)
-
     def power(self, x: int, k: int) -> int:
         return x * k
 

@@ -109,6 +109,10 @@ class BaseOracle:
     Element values must be canonical hashable Python values, so that
     ``eq(x, y)`` coincides with ``x == y``.  That makes words and labels
     directly usable as dictionary keys.
+
+    A subclass overrides the methods that raise ``NotImplementedError``; the
+    defaults of the others (``eq``, ``is_identity``, ``generators``,
+    ``power``) are overridden only for speed.
     """
 
     name = "base"
@@ -168,7 +172,7 @@ class BaseOracle:
         return {}
 
     def generators(self) -> tuple:
-        """Base-group generators used for orbit and ball enumeration."""
+        """Base-group generators, the base letters of conjugacy orbits."""
         return tuple(self.base_letters().values())
 
     def power(self, x, k: int):
@@ -189,10 +193,6 @@ class BaseOracle:
     def _grammar(self):
         """The word grammar of this oracle's letters, looked up once."""
         return _grammar_for(self.stable_letter, tuple(self.base_letters().items()))
-
-    def sort_key(self, x) -> str:
-        """Total order on base elements via their canonical serialization."""
-        return self.format_element(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,31 +574,35 @@ def _compare_text(xs: Iterator[str], ys: Iterator[str]) -> int:
         a, b = a[m:], b[m:]
 
 
+def _phi_iterates(oracle: BaseOracle, x, j: int, name: str = "j") -> Iterator:
+    """``phi(x), ..., phi^j(x)``, stopping before phi is applied outside H,
+    so shorter than ``j`` exactly when ``x`` is not in Dom(phi^j).  ``name``
+    is the caller's name for ``j``, which must be at least 1."""
+    if j < 1:
+        raise ValueError(f"{name} must be >= 1")
+    for _ in range(j):
+        if not oracle.in_H(x):
+            return
+        x = oracle.phi(x)
+        yield x
+
+
 def phi_iter_domain(oracle: BaseOracle, x, j: int) -> bool:
     """Membership of ``x`` in Dom(phi^j), by the recursion
     Dom(phi^1) = H, Dom(phi^j) = phi^-1(Dom(phi^{j-1}) intersect K)."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    y = x
-    for _ in range(j):
-        if not oracle.in_H(y):
-            return False
-        y = oracle.phi(y)
-    return True
+    return sum(1 for _ in _phi_iterates(oracle, x, j)) == j
 
 
 def phi_iter(oracle: BaseOracle, x, j: int):
     """Apply phi j times; requires ``x`` in Dom(phi^j)."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    y = x
-    for step in range(j):
-        if not oracle.in_H(y):
-            raise DomainError(
-                f"{oracle.format_element(x)} is not in Dom(phi^{j}) "
-                f"(leaves H after {step} applications)"
-            )
-        y = oracle.phi(y)
+    steps, y = 0, x
+    for steps, y in enumerate(_phi_iterates(oracle, x, j), 1):
+        pass
+    if steps < j:
+        raise DomainError(
+            f"{oracle.format_element(x)} is not in Dom(phi^{j}) "
+            f"(leaves H after {steps} applications)"
+        )
     return y
 
 
@@ -608,16 +612,8 @@ def fixed_by_some_phi_j(oracle: BaseOracle, x, j_max: int) -> Optional[int]:
     Elements outside Dom(phi^j) are not fixed points of phi^j, so the scan
     stops as soon as the iterates leave H.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    y = x
-    for j in range(1, j_max + 1):
-        if not oracle.in_H(y):
-            return None
-        y = oracle.phi(y)
-        if y == x:
-            return j
-    return None
+    iterates = enumerate(_phi_iterates(oracle, x, j_max, "j_max"), 1)
+    return next((j for j, y in iterates if y == x), None)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +641,14 @@ def _grammar_for(stable_letter: str, base_letters: tuple):
     return pattern, letters
 
 
+# a text with more stable letters is refused before any of them is built
+_STABLE_LETTER_LIMIT = 10**6
+
+
 def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     """Parse word text; raises :class:`WordParseError` with the position on
-    malformed input.  The written form is preserved (no reduction)."""
+    malformed input, or on more than a million stable letters in all.  The
+    written form is preserved (no reduction)."""
     pattern, letters = oracle._grammar
     e = oracle.identity
     head, tail = e, []
@@ -667,6 +668,11 @@ def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
             exp = int(term["exp"])
         kind, value = letters[name]
         if kind == "stable":
+            if len(tail) + abs(exp) > _STABLE_LETTER_LIMIT:
+                raise WordParseError(
+                    f"more than {_STABLE_LETTER_LIMIT} stable letters",
+                    term.start("exp") if term["exp"] else term.start("name"),
+                )
             tail += [(1 if exp > 0 else -1, e)] * abs(exp)
         elif kind == "base" and exp:
             x = oracle.power(value, exp)

@@ -26,7 +26,7 @@ from .calculus import (
     normalize,
     parse_word,
 )
-from .bs import BsParams, dom_phi_j_closed_form, make_bs
+from .bs import BsOracle, dom_phi_j_closed_form, make_bs
 from .zd import make_zd, parse_matrix
 from . import analysis, tree
 
@@ -91,9 +91,7 @@ def _make_oracle(args) -> BaseOracle:
     return make_bs(args.m, args.n)
 
 
-def _require_bs(oracle, what: str):
-    from .bs import BsOracle
-
+def _require_bs(oracle, what: str) -> BsOracle:
     if not isinstance(oracle, BsOracle):
         raise ValueError(f"{what} is available in BS mode only")
     return oracle
@@ -205,8 +203,7 @@ def _run(args) -> int:
         gamma = None if args.gamma is None else parse_word(oracle, args.gamma)
         sys.stdout.write(tree.tree_dot(oracle, args.radius, gamma))
     elif cmd == "domj":
-        _require_bs(oracle, "domj")
-        g = dom_phi_j_closed_form(BsParams(args.m, args.n), args.j)
+        g = dom_phi_j_closed_form(_require_bs(oracle, "domj").params, args.j)
         _emit(args, str(g), {"generator": g})
     else:  # pragma: no cover
         raise ValueError(f"unknown command {cmd!r}")

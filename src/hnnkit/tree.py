@@ -8,11 +8,12 @@ the tree metric a prefix computation and the ball enumeration free of
 equality checks.
 
 The walks (``ball``, ``fixed_subtree`` and the descent to Min gamma) extend
-bare path tuples through one child-step table, which lists the steps from a
-vertex to its children by the sign of the path's last step; no per-edge
-object is built, and a label wraps only a vertex that is returned.  A label
-hashes by its path alone.  ``ball`` predicts its size in closed form and
-refuses a request over a million vertices before enumerating anything.
+bare path tuples through one child-step table.  It, ``VertexLabel.step`` and
+``tree_dot`` share one backtracking rule: an identity representative against
+the sign of the path's last step leads back to the parent.  No per-edge
+object is built, and a label wraps only a vertex that is returned and hashes
+by its path alone.  ``ball`` predicts its size in closed form and refuses a
+request over a million vertices before enumerating anything.
 
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
@@ -115,18 +116,9 @@ class VertexLabel:
         pairs = tuple((sign, r) for (_, sign), r in zip(self.path, reps))
         return _reduced_word(self.oracle, self.path[0][0], pairs)
 
-    def parent(self) -> Optional["VertexLabel"]:
-        if not self.path:
-            return None
-        return VertexLabel(self.oracle, self.path[:-1])
-
     def step(self, rep, sign: int) -> "VertexLabel":
         """Move across one edge; a backtracking step pops to the parent."""
-        if (
-            self.path
-            and self.oracle.is_identity(rep)
-            and self.path[-1][1] == -sign
-        ):
+        if self.path and _backtracks(self.oracle, self.path[-1][1], rep, sign):
             return VertexLabel(self.oracle, self.path[:-1])
         return VertexLabel(self.oracle, self.path + ((rep, sign),))
 
@@ -197,27 +189,38 @@ def act(g: HnnWord, v: VertexLabel) -> VertexLabel:
     return to_vertex_label(mul(g, v.word()))
 
 
-def distance(u: VertexLabel, v: VertexLabel) -> int:
-    """Tree metric: strip the longest common prefix, add remaining lengths."""
-    if u.oracle != v.oracle:
-        raise ValueError("labels belong to different oracles")
+def _common_prefix(u: VertexLabel, v: VertexLabel) -> int:
+    """Length of the longest common prefix of the two paths."""
     common = 0
     for a, b in zip(u.path, v.path):
         if a != b:
             break
         common += 1
+    return common
+
+
+def distance(u: VertexLabel, v: VertexLabel) -> int:
+    """Tree metric: strip the longest common prefix, add remaining lengths."""
+    if u.oracle != v.oracle:
+        raise ValueError("labels belong to different oracles")
+    common = _common_prefix(u, v)
     return (len(u.path) - common) + (len(v.path) - common)
+
+
+def _backtracks(oracle: BaseOracle, last_sign: int, rep, sign: int) -> bool:
+    """Whether the step ``(rep, sign)`` leads back to the parent of a vertex
+    whose path ends in a step of sign ``last_sign`` (0 at the base vertex)."""
+    return sign == -last_sign and oracle.is_identity(rep)
 
 
 def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
     """The steps ``(rep, sign)`` from a vertex to its children, keyed by the
     sign of the last step of its path (0 at the base vertex): the edges of
-    :func:`neighbors` in its order, less the one backtracking step
-    ``(identity, -last_sign)``."""
+    :func:`neighbors` in its order, less the one that backtracks."""
     steps = [(rep, 1) for rep in oracle.h_transversal()]
     steps += [(rep, -1) for rep in oracle.k_transversal()]
     return {
-        last: [(rep, sign) for rep, sign in steps if sign != -last or not oracle.is_identity(rep)]
+        last: [(rep, sign) for rep, sign in steps if not _backtracks(oracle, last, rep, sign)]
         for last in (0, 1, -1)
     }
 
@@ -342,9 +345,10 @@ def _axis_labels(
     return labels
 
 
-def classify(gamma: HnnWord, sample_periods: int = 3) -> IsometryClass:
+def classify(gamma: HnnWord) -> IsometryClass:
     """Elliptic when the cyclic core is a base element, else hyperbolic with
-    translation length the core's stable-letter count."""
+    translation length the core's stable-letter count and an axis sample of
+    three periods."""
     # reduced once here, so that each act(gamma, v) below reuses it
     gamma = britton_reduce(gamma)
     core, conj = cyclic_reduce(gamma)
@@ -354,7 +358,7 @@ def classify(gamma: HnnWord, sample_periods: int = 3) -> IsometryClass:
             raise VerificationError("elliptic witness must be fixed")
         return IsometryClass(ELLIPTIC, fixed_vertex=witness, conjugator=conj)
     tl = len(core.tail)
-    sample = tuple(_axis_labels(conj, core, sample_periods))
+    sample = tuple(_axis_labels(conj, core, 3))
     for v in sample:
         if distance(v, act(gamma, v)) != tl:
             raise VerificationError("axis sample must realize the translation length")
@@ -407,11 +411,9 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     return frozenset(fixed), depth == radius
 
 
-def unbounded_fixed_witness_bs(
-    m: int, n: int, check_range: int = 5
-) -> tuple[HnnWord, Callable[[int], VertexLabel]]:
+def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int], VertexLabel]]:
     """A nontrivial element fixing an unbounded family of vertices, with the
-    family as an explicit map index -> vertex.
+    family as an explicit map index -> vertex, checked at indices 0 to 5.
 
     When n | m, b^n fixes a^l L for every l; when m | n (and not the previous
     case), b^m fixes a^-l L; otherwise b^n commutes with the commutator
@@ -431,7 +433,7 @@ def unbounded_fixed_witness_bs(
         return to_vertex_label(HnnWord(oracle, oracle.identity, step * l))
 
     origin = base_vertex(oracle)
-    for l in range(check_range + 1):
+    for l in range(6):
         v = family(l)
         if act(gamma, v) != v or distance(origin, v) != len(step) * l:
             raise VerificationError(f"unbounded fixed family fails at index {l}")
@@ -439,11 +441,7 @@ def unbounded_fixed_witness_bs(
 
 
 def _geodesic(u: VertexLabel, v: VertexLabel) -> list[VertexLabel]:
-    common = 0
-    for a, b in zip(u.path, v.path):
-        if a != b:
-            break
-        common += 1
+    common = _common_prefix(u, v)
     up = [VertexLabel(u.oracle, u.path[:k]) for k in range(len(u.path), common, -1)]
     down = [VertexLabel(u.oracle, v.path[:k]) for k in range(common, len(v.path) + 1)]
     return up + down
@@ -534,21 +532,22 @@ def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
 
 def tree_dot(oracle: BaseOracle, radius: int, gamma: Optional[HnnWord] = None) -> str:
     """DOT digraph of the radius ball: nodes in BFS order, solid oriented
-    edges within the ball, and optionally dashed edges v -> gamma v."""
+    edges within the ball, and optionally dashed edges v -> gamma v.  Each
+    label is formatted once."""
     vs = ball(oracle, radius)
-    inside = {v.path for v in vs}
+    names = {v.path: label_str(v) for v in vs}
     lines = ["digraph bass_serre_ball {"]
-    for v in vs:
-        lines.append(f'  "{label_str(v)}";')
-    for v in vs:
+    lines += [f'  "{name}";' for name in names.values()]
+    for path, name in names.items():
+        last = path[-1][1] if path else 0
         for rep in oracle.h_transversal():
-            u = v.step(rep, 1)
-            if u.path in inside:
-                lines.append(f'  "{label_str(v)}" -> "{label_str(u)}";')
+            target = path[:-1] if _backtracks(oracle, last, rep, 1) else path + ((rep, 1),)
+            if target in names:
+                lines.append(f'  "{name}" -> "{names[target]}";')
     if gamma is not None:
         for v in vs:
-            u = act(gamma, v)
-            if u.path in inside:
-                lines.append(f'  "{label_str(v)}" -> "{label_str(u)}" [style=dashed];')
+            target = act(gamma, v).path
+            if target in names:
+                lines.append(f'  "{names[v.path]}" -> "{names[target]}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -274,9 +274,6 @@ class ZdOracle(BaseOracle):
             letters[f"e{i + 1}"] = unit
         return letters
 
-    def generators(self) -> tuple:
-        return tuple(self.base_letters().values())
-
     def power(self, x, k: int):
         return tuple(k * a for a in x)
 

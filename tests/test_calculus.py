@@ -251,6 +251,28 @@ def test_parse_rejects_non_ascii_digits(bs23, text, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("a^1000001", 2),
+        ("a^-1000001", 2),
+        ("a^600000 a^600000", 11),
+        ("b a^10000000000000000000", 4),
+    ],
+)
+def test_parse_refuses_too_many_stable_letters(bs23, text, position):
+    # refused before the stable letters are built, counting the whole text
+    with pytest.raises(WordParseError, match="more than 1000000 stable letters") as exc:
+        parse_word(bs23, text)
+    assert exc.value.position == position
+
+
+def test_parse_admits_the_stable_letter_limit(bs23):
+    assert len(parse_word(bs23, "a^999999 a^-1").tail) == 10**6
+    # base-letter exponents are not stable letters
+    assert parse_word(bs23, "b^10000000000000000000").head == 10**19
+
+
 def test_parse_builds_letter_table_once(monkeypatch):
     oracle = make_bs(2, 3)
     calls = []

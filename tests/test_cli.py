@@ -70,6 +70,12 @@ def test_classify_and_fixed(capsys):
     assert out == "1\ntouches_boundary: false\n"
 
 
+def test_huge_stable_exponent_is_refused(capsys):
+    code, out, err = run(capsys, "--m", "2", "--n", "3", "len", "a^10000000000000000000")
+    assert (code, out) == (1, "")
+    assert err == "error: more than 1000000 stable letters (at position 2)\n"
+
+
 def test_witness_unbounded(capsys):
     _, out, _ = run(capsys, "--m", "4", "--n", "2", "witness-unbounded")
     lines = out.strip().splitlines()

@@ -646,6 +646,19 @@ def test_tree_dot_structure(bs23):
     assert "dashed" not in dot
 
 
+def test_tree_dot_formats_each_label_once(bs23, monkeypatch):
+    calls = []
+    real = tree.label_str
+
+    def label_str(v):
+        calls.append(v.path)
+        return real(v)
+
+    monkeypatch.setattr(tree, "label_str", label_str)
+    tree_dot(bs23, 4, parse_word(bs23, "b^3"))
+    assert len(calls) == len(set(calls)) == len(ball(bs23, 4))
+
+
 def test_tree_dot_action_overlay(bs23):
     dot = tree_dot(bs23, 1, base_word(bs23, 1))
     assert '"a" -> "b a" [style=dashed];' in dot
