@@ -111,8 +111,8 @@ class BaseOracle:
     directly usable as dictionary keys.
 
     A subclass overrides the methods that raise ``NotImplementedError``; the
-    defaults of the others (``eq``, ``is_identity``, ``generators``,
-    ``power``) are overridden only for speed.
+    defaults of ``eq``, ``is_identity``, ``generators`` and ``power`` are
+    overridden only for speed.
     """
 
     name = "base"

@@ -196,11 +196,9 @@ def _oracle_records(name: str, oracle, add) -> None:
             add("symdiff_ratio", outcome(symdiff_ratio, chain, w))
 
 
-def _guard_records(add) -> None:
+def _guard_records(name: str, oracle, add) -> None:
     """The calculus's own consistency check, on an oracle that breaks the
     decomposition contract."""
-    name = "BS(2,3) dropping K-representatives"
-    oracle = _DropsKRepresentative(BsParams(2, 3))
     rng = random.Random(f"{SEED}:{name}")
     for w in _random_words(oracle, rng, 30):
         add("normalize", outcome(normalize, w))
@@ -210,9 +208,14 @@ def _guard_records(add) -> None:
 def corpus() -> dict[tuple[str, str], list[str]]:
     """The records of every (function, oracle) pair, in call order."""
     records: dict[tuple[str, str], list[str]] = defaultdict(list)
+
+    def add_to(name):
+        return lambda fn, rec: records[(fn, name)].append(rec)
+
     for name, oracle in oracles():
-        _oracle_records(name, oracle, lambda fn, rec, name=name: records[(fn, name)].append(rec))
-    _guard_records(lambda fn, rec: records[(fn, "BS(2,3) dropping K-representatives")].append(rec))
+        _oracle_records(name, oracle, add_to(name))
+    name = "BS(2,3) dropping K-representatives"
+    _guard_records(name, _DropsKRepresentative(BsParams(2, 3)), add_to(name))
     return dict(records)
 
 

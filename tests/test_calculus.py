@@ -257,6 +257,7 @@ def test_parse_rejects_non_ascii_digits(bs23, text, position):
         ("a^1000001", 2),
         ("a^-1000001", 2),
         ("a^600000 a^600000", 11),
+        ("a^1000000 a", 10),
         ("b a^10000000000000000000", 4),
     ],
 )
