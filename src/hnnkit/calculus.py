@@ -37,6 +37,7 @@ calculus is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -647,8 +648,9 @@ _STABLE_LETTER_LIMIT = 10**6
 
 def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     """Parse word text; raises :class:`WordParseError` with the position on
-    malformed input, or on more than a million stable letters in all.  The
-    written form is preserved (no reduction)."""
+    malformed input, on an exponent too long for ``int``, or on more than a
+    million stable letters in all.  The written form is preserved (no
+    reduction)."""
     pattern, letters = oracle._grammar
     e = oracle.identity
     head, tail = e, []
@@ -665,7 +667,14 @@ def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
         if term["caret"] is not None:
             if term["exp"] is None:
                 raise WordParseError("expected an integer exponent after '^'", pos)
-            exp = int(term["exp"])
+            try:
+                exp = int(term["exp"])
+            except ValueError:
+                # more digits than int() converts (sys.get_int_max_str_digits)
+                raise WordParseError(
+                    f"an exponent of more than {sys.get_int_max_str_digits()} digits",
+                    term.start("exp"),
+                ) from None
         kind, value = letters[name]
         if kind == "stable":
             if len(tail) + abs(exp) > _STABLE_LETTER_LIMIT:

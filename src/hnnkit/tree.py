@@ -15,6 +15,14 @@ object is built, and a label wraps only a vertex that is returned and hashes
 by its path alone.  ``ball`` predicts its size in closed form and refuses a
 request over a million vertices before enumerating anything.
 
+``fixed_subtree`` walks the fixed set by classes of vertices, not by
+vertices: whether a child of a fixed vertex v is fixed depends only on v's
+conjugate v^-1 gamma v and the sign of v's last step (Serre, *Trees*,
+I.6.4), so the child test runs once per class and step, and the fixed
+children of a class extend all of its paths at once.  The same walk with
+counts in place of paths gives the exact size of the fixed set first, and a
+fixed set over a million vertices is refused before any path is built.
+
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
 stable-letter length.  The minimum displacement is also found without the
@@ -262,16 +270,16 @@ def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
     return [VertexLabel(oracle, path) for path in paths]
 
 
-def _descend(gamma: HnnWord, radius: Optional[int] = None):
+def _descend(gamma: HnnWord, steps: dict, radius: Optional[int] = None):
     """Greedy walk from the base vertex towards Min gamma, to depth at most
-    ``radius``: the vertex v where it stops, with v^-1 gamma v as a pinch-free
+    ``radius``, through the child-step table ``steps`` of gamma's oracle:
+    the vertex v where it stops, with v^-1 gamma v as a pinch-free
     ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v).
 
     The walk never tries the step back to the parent: it reached v by a
     strict drop of distance(v, gamma v), so stepping back is never one."""
     oracle = gamma.oracle
     e = oracle.identity
-    steps = _child_steps(oracle)
     g = britton_reduce(gamma)
     path, head, tail = (), g.head, g.tail
     while tail and (radius is None or len(path) < radius):
@@ -306,7 +314,7 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    v, _, tail = _descend(gamma, radius)
+    v, _, tail = _descend(gamma, _child_steps(gamma.oracle), radius)
     return len(tail), v
 
 
@@ -367,6 +375,65 @@ def classify(gamma: HnnWord) -> IsometryClass:
     )
 
 
+def _fixed_classes(gamma: HnnWord, radius: int):
+    """The fixed set of an elliptic gamma within the radius ball, walked by
+    classes of vertices rather than by vertices.
+
+    The class of a fixed vertex v is ``(c, last)``: its conjugate
+    c = v^-1 gamma v, a base element, and the sign of the last step of its
+    path (0 at the base vertex).  The child u = v rep t^sign is fixed when
+    t^-sign rep^-1 c rep t^sign is a pinch, and u's conjugate is then the
+    unpinched base element.  So which children are fixed, and their
+    classes, depend on the class of v alone (Serre, *Trees*, I.6.4): each
+    class gets one child test per step, however many vertices share it.
+    Classes compare by value, so this holds over any base oracle.
+
+    Returns the entry (the fixed vertex nearest the base vertex), a table
+    from each class met to its fixed children as ``(step, class)`` pairs,
+    and a generator of the levels from the entry's down, each a dict from
+    class to its number of vertices on the level.  The generator stops at the radius or after the last nonempty
+    level, and fills the table as it goes, so a caller that stops early
+    pays only for the levels it read.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    oracle = gamma.oracle
+    omul, oinv = oracle.mul, oracle.inv
+    steps = _child_steps(oracle)
+    # the descent stops at the projection of the base vertex onto Min gamma,
+    # which for an elliptic gamma is the fixed subtree
+    entry, c, tail = _descend(gamma, steps)
+    if tail:
+        raise NotEllipticError("fixed subtrees exist only for elliptic elements")
+    children = {}
+
+    def levels():
+        # every other fixed vertex lies below the entry, and the entry's
+        # parent is not fixed, so the walk only steps down
+        if entry.depth > radius:
+            return
+        level = {(c, entry.path[-1][1] if entry.path else 0): 1}
+        for _ in range(entry.depth, radius):
+            yield level
+            nxt = {}
+            for key, count in level.items():
+                if key not in children:
+                    x, last = key
+                    kids = children[key] = []
+                    for rep, sign in steps[last]:
+                        y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
+                        if y is not None:
+                            kids.append(((rep, sign), (y, sign)))
+                for step, child in children[key]:
+                    nxt[child] = nxt.get(child, 0) + count
+            if not nxt:
+                return
+            level = nxt
+        yield level
+
+    return entry, children, levels()
+
+
 def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], bool]:
     """All vertices of the radius ball fixed by an elliptic gamma, plus a
     flag telling whether the fixed set reaches the ball boundary (in which
@@ -374,41 +441,36 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
 
     The fixed set is the intersection of two subtrees, hence connected, so a
     search restricted to fixed vertices starting at the projection of the
-    base vertex is complete.
+    base vertex is complete.  The search runs by classes of fixed vertices
+    (see ``_fixed_classes``): it first counts the vertices of each level,
+    which gives the exact size, and refuses a fixed set of more than a
+    million vertices before any path is built.  Then the fixed children of
+    each class extend all of that class's paths at once, and only the
+    returned vertices get a label.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    # the descent stops at the projection of the base vertex onto Min gamma,
-    # which for an elliptic gamma is the fixed subtree
-    entry, c, tail = _descend(gamma)
-    if tail:
-        raise NotEllipticError("fixed subtrees exist only for elliptic elements")
-    if entry.depth > radius:
+    entry, children, levels = _fixed_classes(gamma, radius)
+    seen = []
+    size = 0
+    for level in levels:
+        size += sum(level.values())
+        if size > _BALL_LIMIT:
+            raise ValueError(
+                f"the fixed subtree within radius {radius} holds more than {_BALL_LIMIT} vertices"
+            )
+        seen.append(level)
+    if not seen:
         return frozenset(), False
-    # every other fixed vertex lies below the entry, and the entry's parent
-    # is not fixed, so the search only steps down, one level at a time: from
-    # a fixed v (whose conjugate is the base element c) to each child
-    # u = v rep t^sign, which is fixed when t^-sign rep^-1 c rep t^sign is a
-    # pinch.  Only the fixed children get a label.
     oracle = gamma.oracle
-    omul, oinv = oracle.mul, oracle.inv
-    steps = _child_steps(oracle)
     fixed = [entry]
-    level = [(entry.path, c)]
-    depth = entry.depth
-    while depth < radius:
-        nxt = []
-        for path, c in level:
-            for rep, sign in steps[path[-1][1] if path else 0]:
-                x = _unpinch(oracle, -sign, omul(oinv(rep), omul(c, rep)), sign)
-                if x is not None:
-                    nxt.append((path + ((rep, sign),), x))
-        if not nxt:
-            break
-        fixed += [VertexLabel(oracle, path) for path, _ in nxt]
-        level = nxt
-        depth += 1
-    return frozenset(fixed), depth == radius
+    paths = {key: [entry.path] for key in seen[0]}
+    for _ in seen[1:]:
+        nxt = {}
+        for key, group in paths.items():
+            for step, child in children[key]:
+                nxt.setdefault(child, []).extend([path + (step,) for path in group])
+        fixed += [VertexLabel(oracle, path) for group in nxt.values() for path in group]
+        paths = nxt
+    return frozenset(fixed), entry.depth + len(seen) - 1 == radius
 
 
 def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int], VertexLabel]]:

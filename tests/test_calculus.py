@@ -268,6 +268,19 @@ def test_parse_refuses_too_many_stable_letters(bs23, text, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("b^" + "9" * 5000, 2), ("a b^-" + "9" * 4301, 4)],
+    ids=["b^(5000 nines)", "a b^-(4301 nines)"],
+)
+def test_parse_refuses_an_exponent_too_long_for_int(bs23, text, position):
+    # int() converts at most 4300 digits by default
+    with pytest.raises(WordParseError, match="an exponent of more than 4300 digits") as exc:
+        parse_word(bs23, text)
+    assert exc.value.position == position
+    assert parse_word(bs23, "b^" + "9" * 4300).head == 10**4300 - 1
+
+
 def test_parse_admits_the_stable_letter_limit(bs23):
     assert len(parse_word(bs23, "a^999999 a^-1").tail) == 10**6
     # base-letter exponents are not stable letters

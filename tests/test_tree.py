@@ -404,6 +404,116 @@ def test_fixed_subtree_matches_brute_force_over_zd(rows):
     assert several >= 20
 
 
+def reference_fixed_subtree(gamma, radius):
+    """fixed_subtree as a search over fixed vertices, one level at a time:
+    one child test for every child of every fixed vertex."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    oracle = gamma.oracle
+    steps = tree._child_steps(oracle)
+    entry, c, tail = tree._descend(gamma, steps)
+    if tail:
+        raise NotEllipticError("fixed subtrees exist only for elliptic elements")
+    if entry.depth > radius:
+        return frozenset(), False
+    fixed = [entry]
+    level = [(entry.path, c)]
+    depth = entry.depth
+    while depth < radius:
+        nxt = []
+        for path, c in level:
+            for rep, sign in steps[path[-1][1] if path else 0]:
+                conj = oracle.mul(oracle.inv(rep), oracle.mul(c, rep))
+                x = calculus._unpinch(oracle, -sign, conj, sign)
+                if x is not None:
+                    nxt.append((path + ((rep, sign),), x))
+        if not nxt:
+            break
+        fixed += [tree.VertexLabel(oracle, path) for path, _ in nxt]
+        level = nxt
+        depth += 1
+    return frozenset(fixed), depth == radius
+
+
+def class_walk_size(gamma, radius):
+    """|fixed_subtree(gamma, radius)| and its boundary flag, from the counts
+    of the class walk alone."""
+    entry, _, levels = tree._fixed_classes(gamma, radius)
+    sizes = [sum(level.values()) for level in levels]
+    return sum(sizes), bool(sizes) and entry.depth + len(sizes) - 1 == radius
+
+
+@pytest.mark.parametrize(
+    "oracle, letters",
+    [
+        (make_bs(2, 3), BS_LETTERS),
+        (make_bs(2, -2), BS_LETTERS),
+        (make_zd(((2, 0), (0, 2))), ZD_LETTERS),
+        (make_zd(((1, 1), (-1, 2))), ZD_LETTERS),
+    ],
+    ids=["BS(2,3)", "BS(2,-2)", "Z2-diag2", "Z2-rot"],
+)
+def test_fixed_subtree_matches_the_per_vertex_search(oracle, letters):
+    rng = random.Random(61)
+    elliptic = 0
+    for _ in range(60):
+        g = rand_word(oracle, rng, letters, 8)
+        if classify(g).kind != ELLIPTIC:
+            continue
+        elliptic += 1
+        for radius in range(5):
+            got = fixed_subtree(g, radius)
+            assert got == reference_fixed_subtree(g, radius), (str(g), radius)
+            assert class_walk_size(g, radius) == (len(got[0]), got[1]), (str(g), radius)
+    assert elliptic >= 10
+
+
+def test_fixed_subtree_size_in_closed_form():
+    # b^6 is central in BS(6,6), so it fixes the whole 12-regular tree; the
+    # count needs no enumeration
+    gamma = parse_word(make_bs(6, 6), "b^6")
+    assert class_walk_size(gamma, 8) == (tree._ball_size(12, 8), True) == (257_230_657, True)
+
+
+def test_fixed_subtree_tests_each_class_once(bs23, monkeypatch):
+    calls = []
+    real = tree._unpinch
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tree, "_unpinch", counted)
+    fixed, touches = fixed_subtree(parse_word(bs23, "b^6"), 5)
+    # a child test per child of every fixed vertex would be several per vertex
+    assert touches and len(fixed) == 231
+    assert 0 < len(calls) <= len(fixed) // 10
+
+
+def test_fixed_subtree_refuses_an_oversized_request_up_front(monkeypatch, capsys):
+    # a broken refusal enumerates 1,597 vertices, not the whole radius-8 ball
+    monkeypatch.setattr(tree, "_BALL_LIMIT", 1000)
+    gamma = parse_word(make_bs(6, 6), "b^6")
+    assert class_walk_size(gamma, 3) == (1597, True)
+    built = []
+
+    class Counted(tree.VertexLabel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(tree, "VertexLabel", Counted)
+    with pytest.raises(ValueError, match="radius 3 holds more than 1000 vertices"):
+        fixed_subtree(gamma, 3)
+    # the descent's stopping vertex is the only label built
+    assert len(built) == 1
+    assert len(fixed_subtree(gamma, 2)[0]) == 145
+    code = cli.main(["--m", "6", "--n", "6", "fixed", "b^6", "--radius", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (2, -2)])
 def test_vertex_words_are_pinch_free(m, n):
     oracle = make_bs(m, n)
