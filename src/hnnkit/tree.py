@@ -12,16 +12,17 @@ bare path tuples through one child-step table.  It, ``VertexLabel.step`` and
 ``tree_dot`` share one backtracking rule: an identity representative against
 the sign of the path's last step leads back to the parent.  No per-edge
 object is built, and a label wraps only a vertex that is returned and hashes
-by its path alone.  ``ball`` predicts its size in closed form and refuses a
-request over a million vertices before enumerating anything.
+by its path alone.
 
-``fixed_subtree`` walks the fixed set by classes of vertices, not by
-vertices: whether a child of a fixed vertex v is fixed depends only on v's
-conjugate v^-1 gamma v and the sign of v's last step (Serre, *Trees*,
-I.6.4), so the child test runs once per class and step, and the fixed
-children of a class extend all of its paths at once.  The same walk with
-counts in place of paths gives the exact size of the fixed set first, and a
-fixed set over a million vertices is refused before any path is built.
+``ball`` and ``fixed_subtree`` are one walk over a fixed set, by classes of
+vertices, not by vertices: whether a child of a fixed vertex v is fixed
+depends only on v's conjugate v^-1 gamma v and the sign of v's last step
+(Serre, *Trees*, I.6.4), so the child test runs once per class and step.
+The ball is the fixed set of the identity, walked from the base vertex;
+``fixed_subtree`` walks from the end of the descent.  The walk counts each
+level by classes first, which gives the exact size, and refuses a request
+over a million vertices or ten million path steps in all before any path is
+built.  Then it extends the paths level by level, in BFS order.
 
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
@@ -97,7 +98,7 @@ class TrivialElementError(ValueError):
     """The trivial element has no attracting point or fixed-tree center."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexLabel:
     """Backtrack-free path word naming a vertex coset.
 
@@ -233,48 +234,112 @@ def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
     }
 
 
-# a ball predicted to hold more vertices than this is refused
+# a walk over more vertices than this, or over more path steps in all (the
+# sum of the vertices' depths), is refused
 _BALL_LIMIT = 10**6
+_STEP_LIMIT = 10**7
 
 
-def _ball_size(degree: int, radius: int) -> int:
-    """Vertices within ``radius`` of a vertex of the ``degree``-regular tree:
-    the base vertex has ``degree`` neighbors and every other vertex
-    ``degree - 1`` children."""
-    if degree == 2:
-        return 1 + 2 * radius
-    return 1 + degree * ((degree - 1) ** radius - 1) // (degree - 2)
+def _class_levels(oracle: BaseOracle, steps: dict, path: tuple, c, radius: int):
+    """The fixed vertices of gamma from the vertex v of ``path`` down,
+    counted by classes of vertices rather than built, given the base element
+    c = v^-1 gamma v and the child-step table ``steps`` of the oracle.
+
+    The class of a fixed vertex u is ``(x, last)``: its conjugate
+    x = u^-1 gamma u, a base element, and the sign of the last step of its
+    path (0 at the base vertex).  The child u rep t^sign is fixed when
+    t^-sign rep^-1 x rep t^sign is a pinch, and its conjugate is then the
+    unpinched base element.  So which children are fixed, and their classes,
+    depend on the class of u alone (Serre, *Trees*, I.6.4): each class gets
+    one child test per step, however many vertices share it.  Classes compare
+    by value, so this holds over any base oracle.  The identity fixes every
+    child, and its walk from the base vertex has three classes.
+
+    Returns a table from each class met to its fixed children as
+    ``((step,), class)`` pairs in the order of ``steps``, each step as a
+    one-step path that extends paths without a new tuple, and a generator of
+    the levels from v's depth down, each a dict from class to its number of
+    vertices on the level.  The generator stops at the radius or after the
+    last nonempty level, and fills the table as it goes, so a caller that
+    stops early pays only for the levels it read.
+    """
+    omul, oinv = oracle.mul, oracle.inv
+    children = {}
+
+    def levels():
+        if len(path) > radius:
+            return
+        level = {(c, path[-1][1] if path else 0): 1}
+        for _ in range(len(path), radius):
+            yield level
+            nxt = {}
+            for key, count in level.items():
+                if key not in children:
+                    x, last = key
+                    kids = children[key] = []
+                    for rep, sign in steps[last]:
+                        y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
+                        if y is not None:
+                            kids.append((((rep, sign),), (y, sign)))
+                for _, child in children[key]:
+                    nxt[child] = nxt.get(child, 0) + count
+            if not nxt:
+                return
+            level = nxt
+        yield level
+
+    return children, levels()
+
+
+def _class_walk(
+    oracle: BaseOracle, steps: dict, path: tuple, c, radius: int, what: str
+) -> list[VertexLabel]:
+    """The vertices of ``_class_levels`` within the radius, in BFS order.
+
+    The levels are counted first, and a walk over a million vertices, or
+    over ten million path steps in all, is refused before any path is built:
+    on a tree of degree 2 a million vertices have paths of up to half a
+    million steps each.  Then each level's paths are extended by the fixed
+    children of their classes, and each returned vertex gets one label."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    children, levels = _class_levels(oracle, steps, path, c, radius)
+    vertices = path_steps = 0
+    for depth, level in enumerate(levels, len(path)):
+        count = sum(level.values())
+        vertices += count
+        path_steps += depth * count
+        if vertices > _BALL_LIMIT or path_steps > _STEP_LIMIT:
+            raise ValueError(
+                f"{what} within radius {radius} holds more than {_BALL_LIMIT} vertices"
+                f" or {_STEP_LIMIT} path steps"
+            )
+    if not vertices:
+        return []
+    level = [(path, (c, path[-1][1] if path else 0))]
+    labels = [VertexLabel(oracle, path)]
+    for _ in range(len(path), depth):
+        level = [(p + suffix, child) for p, key in level for suffix, child in children[key]]
+        labels += [VertexLabel(oracle, p) for p, _ in level]
+    return labels
 
 
 def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
     """Vertices within the given distance of the base vertex, in BFS order.
 
-    A ball of more than a million vertices is refused before anything is
-    built."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    degree = len(oracle.h_transversal()) + len(oracle.k_transversal())
-    # with a degree above 2 the ball has more than 2^radius vertices, so a
-    # radius past the limit's bit length is refused without the power
-    huge = degree > 2 and radius > _BALL_LIMIT.bit_length()
-    if huge or _ball_size(degree, radius) > _BALL_LIMIT:
-        raise ValueError(f"a tree ball of radius {radius} holds more than {_BALL_LIMIT} vertices")
-    steps = _child_steps(oracle)
-    paths = [()]
-    start = 0
-    for _ in range(radius):
-        end = len(paths)
-        for path in paths[start:end]:
-            paths += [path + (step,) for step in steps[path[-1][1] if path else 0]]
-        start = end
-    return [VertexLabel(oracle, path) for path in paths]
+    The ball is the fixed set of the identity, so it is the class walk from
+    the base vertex with conjugate the identity, and every child is fixed.
+    A ball of more than a million vertices, or of more than ten million path
+    steps in all, is refused before anything is built."""
+    return _class_walk(oracle, _child_steps(oracle), (), oracle.identity, radius, "the tree ball")
 
 
 def _descend(gamma: HnnWord, steps: dict, radius: Optional[int] = None):
     """Greedy walk from the base vertex towards Min gamma, to depth at most
     ``radius``, through the child-step table ``steps`` of gamma's oracle:
-    the vertex v where it stops, with v^-1 gamma v as a pinch-free
-    ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v).
+    the path of the vertex v where it stops, with v^-1 gamma v as a
+    pinch-free ``(head, tail)`` pair whose stable-letter count is
+    distance(v, gamma v).
 
     The walk never tries the step back to the parent: it reached v by a
     strict drop of distance(v, gamma v), so stepping back is never one."""
@@ -295,7 +360,7 @@ def _descend(gamma: HnnWord, steps: dict, radius: Optional[int] = None):
                 break
         else:
             break
-    return VertexLabel(oracle, path), head, tail
+    return path, head, tail
 
 
 def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]:
@@ -314,8 +379,8 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    v, _, tail = _descend(gamma, _child_steps(gamma.oracle), radius)
-    return len(tail), v
+    path, _, tail = _descend(gamma, _child_steps(gamma.oracle), radius)
+    return len(tail), VertexLabel(gamma.oracle, path)
 
 
 @dataclass(frozen=True)
@@ -375,65 +440,6 @@ def classify(gamma: HnnWord) -> IsometryClass:
     )
 
 
-def _fixed_classes(gamma: HnnWord, radius: int):
-    """The fixed set of an elliptic gamma within the radius ball, walked by
-    classes of vertices rather than by vertices.
-
-    The class of a fixed vertex v is ``(c, last)``: its conjugate
-    c = v^-1 gamma v, a base element, and the sign of the last step of its
-    path (0 at the base vertex).  The child u = v rep t^sign is fixed when
-    t^-sign rep^-1 c rep t^sign is a pinch, and u's conjugate is then the
-    unpinched base element.  So which children are fixed, and their
-    classes, depend on the class of v alone (Serre, *Trees*, I.6.4): each
-    class gets one child test per step, however many vertices share it.
-    Classes compare by value, so this holds over any base oracle.
-
-    Returns the entry (the fixed vertex nearest the base vertex), a table
-    from each class met to its fixed children as ``(step, class)`` pairs,
-    and a generator of the levels from the entry's down, each a dict from
-    class to its number of vertices on the level.  The generator stops at the radius or after the last nonempty
-    level, and fills the table as it goes, so a caller that stops early
-    pays only for the levels it read.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    oracle = gamma.oracle
-    omul, oinv = oracle.mul, oracle.inv
-    steps = _child_steps(oracle)
-    # the descent stops at the projection of the base vertex onto Min gamma,
-    # which for an elliptic gamma is the fixed subtree
-    entry, c, tail = _descend(gamma, steps)
-    if tail:
-        raise NotEllipticError("fixed subtrees exist only for elliptic elements")
-    children = {}
-
-    def levels():
-        # every other fixed vertex lies below the entry, and the entry's
-        # parent is not fixed, so the walk only steps down
-        if entry.depth > radius:
-            return
-        level = {(c, entry.path[-1][1] if entry.path else 0): 1}
-        for _ in range(entry.depth, radius):
-            yield level
-            nxt = {}
-            for key, count in level.items():
-                if key not in children:
-                    x, last = key
-                    kids = children[key] = []
-                    for rep, sign in steps[last]:
-                        y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
-                        if y is not None:
-                            kids.append(((rep, sign), (y, sign)))
-                for step, child in children[key]:
-                    nxt[child] = nxt.get(child, 0) + count
-            if not nxt:
-                return
-            level = nxt
-        yield level
-
-    return entry, children, levels()
-
-
 def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], bool]:
     """All vertices of the radius ball fixed by an elliptic gamma, plus a
     flag telling whether the fixed set reaches the ball boundary (in which
@@ -441,36 +447,22 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
 
     The fixed set is the intersection of two subtrees, hence connected, so a
     search restricted to fixed vertices starting at the projection of the
-    base vertex is complete.  The search runs by classes of fixed vertices
-    (see ``_fixed_classes``): it first counts the vertices of each level,
-    which gives the exact size, and refuses a fixed set of more than a
-    million vertices before any path is built.  Then the fixed children of
-    each class extend all of that class's paths at once, and only the
-    returned vertices get a label.
+    base vertex is complete.  The descent finds that vertex, and the class
+    walk that ``ball`` also runs (see ``_class_levels``) goes down from it:
+    it counts the fixed set exactly first, and refuses one of more than a
+    million vertices, or of more than ten million path steps in all, before
+    any path is built.  Only the returned vertices get a label.
     """
-    entry, children, levels = _fixed_classes(gamma, radius)
-    seen = []
-    size = 0
-    for level in levels:
-        size += sum(level.values())
-        if size > _BALL_LIMIT:
-            raise ValueError(
-                f"the fixed subtree within radius {radius} holds more than {_BALL_LIMIT} vertices"
-            )
-        seen.append(level)
-    if not seen:
-        return frozenset(), False
     oracle = gamma.oracle
-    fixed = [entry]
-    paths = {key: [entry.path] for key in seen[0]}
-    for _ in seen[1:]:
-        nxt = {}
-        for key, group in paths.items():
-            for step, child in children[key]:
-                nxt.setdefault(child, []).extend([path + (step,) for path in group])
-        fixed += [VertexLabel(oracle, path) for group in nxt.values() for path in group]
-        paths = nxt
-    return frozenset(fixed), entry.depth + len(seen) - 1 == radius
+    steps = _child_steps(oracle)
+    # the descent stops at the projection of the base vertex onto Min gamma,
+    # which for an elliptic gamma is the fixed subtree; its parent is not
+    # fixed, so every other fixed vertex lies below it
+    entry, c, tail = _descend(gamma, steps)
+    if tail:
+        raise NotEllipticError("fixed subtrees exist only for elliptic elements")
+    fixed = _class_walk(oracle, steps, entry, c, radius, "the fixed subtree")
+    return frozenset(fixed), bool(fixed) and fixed[-1].depth == radius
 
 
 def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int], VertexLabel]]:

@@ -113,6 +113,20 @@ def test_only_split_decomposes_on_the_left():
     assert found == []
 
 
+def test_one_size_check_for_the_tree_walks():
+    # ball and fixed_subtree are one class walk, refused by one check
+    names = ("_BALL_LIMIT", "_STEP_LIMIT")
+    found = {
+        f"{path.name}:{node.name}"
+        for path, tree in parsed_sources()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and name.id in names
+    }
+    assert len(found) == 1, sorted(found)
+
+
 def test_nothing_enumerates_the_tree_through_neighbors():
     # internal tree walks step through tree._child_steps; neighbors builds an
     # EdgeRef per edge and a label per target, and is kept for callers only

@@ -104,14 +104,81 @@ def reference_ball(oracle, radius):
     return vs
 
 
-@pytest.mark.parametrize(
+BALL_ORACLES = pytest.mark.parametrize(
     "oracle",
     [make_bs(2, 3), make_bs(2, -2), make_bs(-3, 4), make_zd(((2, 0), (0, 2)))],
     ids=["BS(2,3)", "BS(2,-2)", "BS(-3,4)", "Z2-diag2"],
 )
+
+
+@BALL_ORACLES
 def test_ball_matches_neighbor_bfs(oracle):
     for r in range(5):
         assert ball(oracle, r) == reference_ball(oracle, r)
+
+
+@BALL_ORACLES
+def test_ball_is_the_fixed_set_of_the_identity(oracle):
+    for r in range(5):
+        assert set(ball(oracle, r)) == fixed_subtree(identity_word(oracle), r)[0]
+
+
+def ball_size(degree, radius):
+    """Vertices within ``radius`` of a vertex of the ``degree``-regular tree:
+    the base vertex has ``degree`` neighbors and every other vertex
+    ``degree - 1`` children."""
+    if degree == 2:
+        return 1 + 2 * radius
+    return 1 + degree * ((degree - 1) ** radius - 1) // (degree - 2)
+
+
+def class_walk_counts(gamma, radius):
+    """The vertices of fixed_subtree(gamma, radius) per depth, from the
+    counts of the class walk alone; with gamma the identity, of the ball."""
+    oracle = gamma.oracle
+    steps = tree._child_steps(oracle)
+    entry, c, _ = tree._descend(gamma, steps)
+    _, levels = tree._class_levels(oracle, steps, entry, c, radius)
+    return {depth: sum(level.values()) for depth, level in enumerate(levels, len(entry))}
+
+
+def class_walk_size(gamma, radius):
+    """|fixed_subtree(gamma, radius)| and its boundary flag, from the counts
+    of the class walk alone."""
+    counts = class_walk_counts(gamma, radius)
+    return sum(counts.values()), radius in counts
+
+
+def guard_enumeration(monkeypatch, cap=5000):
+    """Fail the test once the class walk counts more than ``cap`` levels or
+    builds more than ``cap`` labels, so that a broken refusal stops after a
+    few thousand vertices instead of running on to the oversized request.
+    Returns the list of labels built."""
+    built = []
+
+    class Counted(tree.VertexLabel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+            if len(built) > cap:
+                pytest.fail("an oversized walk was enumerated")
+
+    real = tree._class_levels
+
+    def capped(*args):
+        children, levels = real(*args)
+
+        def guarded():
+            for i, level in enumerate(levels):
+                if i > cap:
+                    pytest.fail("an oversized walk was counted")
+                yield level
+
+        return children, guarded()
+
+    monkeypatch.setattr(tree, "VertexLabel", Counted)
+    monkeypatch.setattr(tree, "_class_levels", capped)
+    return built
 
 
 @pytest.mark.parametrize(
@@ -123,22 +190,47 @@ def test_ball_size_formula(oracle):
     # the last has [L:H] + [L:K] = 2: the tree is a line
     degree = len(oracle.h_transversal()) + len(oracle.k_transversal())
     for r in range(5):
-        assert tree._ball_size(degree, r) == len(ball(oracle, r))
+        assert ball_size(degree, r) == len(ball(oracle, r))
+        assert ball_size(degree, r) == class_walk_size(identity_word(oracle), r)[0]
 
 
 def test_ball_refuses_an_oversized_request_up_front(monkeypatch, capsys):
-    assert tree._ball_size(5, 9) == 436_906 <= tree._BALL_LIMIT
-    assert tree._ball_size(5, 10) == 1_747_626 > tree._BALL_LIMIT
+    bs23, line = make_bs(2, 3), make_zd(((2, 1), (1, 1)))
 
-    # the refusal comes before any enumeration, so no big ball is ever built
-    def enumerate_steps(oracle):
-        pytest.fail("an oversized ball was enumerated")
+    def totals(oracle, radius):
+        # vertices and path steps in all, from the counts alone
+        counts = class_walk_counts(identity_word(oracle), radius)
+        return sum(counts.values()), sum(depth * k for depth, k in counts.items())
 
-    monkeypatch.setattr(tree, "_child_steps", enumerate_steps)
-    line = make_zd(((2, 1), (1, 1)))
-    for oracle, radius in [(make_bs(2, 3), 10), (make_bs(2, 3), 10**9), (line, 10**6)]:
+    # the limits in force: BS(2,3) meets the vertex limit first, the line
+    # (a tree of degree 2) the step limit
+    assert totals(bs23, 9) == (436_906, 3_786_525)
+    assert totals(bs23, 10)[0] == 1_747_626 > tree._BALL_LIMIT
+    assert totals(line, 3161) == (6323, 9_995_082)
+    assert totals(line, 3162)[1] == 10_001_406 > tree._STEP_LIMIT
+    assert totals(make_bs(1, 2), 18) == (786_430, 13_369_347)
+
+    # the refusal comes before any label is built
+    built = guard_enumeration(monkeypatch)
+    for oracle, radius in [
+        (bs23, 10), (bs23, 10**9), (line, 3162), (line, 499_999), (line, 10**6), (make_bs(1, 2), 18),
+    ]:
         with pytest.raises(ValueError, match=f"radius {radius} "):
             ball(oracle, radius)
+    assert built == []
+
+    # each limit alone at its boundary, lowered so that the walks stay small:
+    # BS(2,3) at radius 5 passes only the vertex limit, the line at radius
+    # 100 only the step limit
+    monkeypatch.setattr(tree, "_BALL_LIMIT", 1000)
+    monkeypatch.setattr(tree, "_STEP_LIMIT", 10_000)
+    assert totals(bs23, 4) == (426, 1565) and totals(bs23, 5) == (1706, 7965)
+    assert totals(line, 99) == (199, 9900) and totals(line, 100) == (201, 10_100)
+    for oracle, radius in [(bs23, 5), (line, 100)]:
+        with pytest.raises(ValueError, match=f"radius {radius} "):
+            ball(oracle, radius)
+    assert built == []
+    assert len(ball(bs23, 4)) == 426 and len(ball(line, 99)) == 199
     code = cli.main(["--m", "2", "--n", "3", "tree-dot", "--radius", "10"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
@@ -414,11 +506,11 @@ def reference_fixed_subtree(gamma, radius):
     entry, c, tail = tree._descend(gamma, steps)
     if tail:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
-    if entry.depth > radius:
+    if len(entry) > radius:
         return frozenset(), False
-    fixed = [entry]
-    level = [(entry.path, c)]
-    depth = entry.depth
+    fixed = [tree.VertexLabel(oracle, entry)]
+    level = [(entry, c)]
+    depth = len(entry)
     while depth < radius:
         nxt = []
         for path, c in level:
@@ -433,14 +525,6 @@ def reference_fixed_subtree(gamma, radius):
         level = nxt
         depth += 1
     return frozenset(fixed), depth == radius
-
-
-def class_walk_size(gamma, radius):
-    """|fixed_subtree(gamma, radius)| and its boundary flag, from the counts
-    of the class walk alone."""
-    entry, _, levels = tree._fixed_classes(gamma, radius)
-    sizes = [sum(level.values()) for level in levels]
-    return sum(sizes), bool(sizes) and entry.depth + len(sizes) - 1 == radius
 
 
 @pytest.mark.parametrize(
@@ -472,7 +556,7 @@ def test_fixed_subtree_size_in_closed_form():
     # b^6 is central in BS(6,6), so it fixes the whole 12-regular tree; the
     # count needs no enumeration
     gamma = parse_word(make_bs(6, 6), "b^6")
-    assert class_walk_size(gamma, 8) == (tree._ball_size(12, 8), True) == (257_230_657, True)
+    assert class_walk_size(gamma, 8) == (ball_size(12, 8), True) == (257_230_657, True)
 
 
 def test_fixed_subtree_tests_each_class_once(bs23, monkeypatch):
@@ -491,22 +575,16 @@ def test_fixed_subtree_tests_each_class_once(bs23, monkeypatch):
 
 
 def test_fixed_subtree_refuses_an_oversized_request_up_front(monkeypatch, capsys):
+    gamma = parse_word(make_bs(6, 6), "b^6")
+    built = guard_enumeration(monkeypatch)
+    with pytest.raises(ValueError, match="radius 8 holds more than 1000000 vertices"):
+        fixed_subtree(gamma, 8)
     # a broken refusal enumerates 1,597 vertices, not the whole radius-8 ball
     monkeypatch.setattr(tree, "_BALL_LIMIT", 1000)
-    gamma = parse_word(make_bs(6, 6), "b^6")
     assert class_walk_size(gamma, 3) == (1597, True)
-    built = []
-
-    class Counted(tree.VertexLabel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(tree, "VertexLabel", Counted)
     with pytest.raises(ValueError, match="radius 3 holds more than 1000 vertices"):
         fixed_subtree(gamma, 3)
-    # the descent's stopping vertex is the only label built
-    assert len(built) == 1
+    assert built == []
     assert len(fixed_subtree(gamma, 2)[0]) == 145
     code = cli.main(["--m", "6", "--n", "6", "fixed", "b^6", "--radius", "3"])
     out, err = capsys.readouterr()
