@@ -305,7 +305,8 @@ def test_parse_builds_letter_table_once(monkeypatch):
 def reference_parse_word(oracle, text):
     """parse_word as a loop over characters: skip whitespace, take the first
     letter name (longest first) the text continues with, then an optional
-    ``^`` and exponent of ASCII digits."""
+    ``^`` and exponent of ASCII digits; more than a million stable letters
+    in all are refused at the term that passes the limit."""
     table = [(oracle.stable_letter, "stable", None), ("t", "stable", None), ("1", "identity", None)]
     table += [(name, "base", value) for name, value in oracle.base_letters().items()]
     table.sort(key=lambda item: len(item[0]), reverse=True)
@@ -321,7 +322,7 @@ def reference_parse_word(oracle, text):
                 break
         else:
             raise WordParseError(f"unknown letter {text[i]!r}", i)
-        i += len(name)
+        start, i = i, i + len(name)
         exp, j = 1, i
         while j < n and text[j].isspace():
             j += 1
@@ -335,8 +336,10 @@ def reference_parse_word(oracle, text):
                 k += 1
             if k == digits:
                 raise WordParseError("expected an integer exponent after '^'", j)
-            exp, i = int(text[j:k]), k
+            exp, i, start = int(text[j:k]), k, j
         if kind == "stable":
+            if len(tail) + abs(exp) > 10**6:
+                raise WordParseError(f"more than {10**6} stable letters", start)
             tail += [(1 if exp > 0 else -1, oracle.identity)] * abs(exp)
         elif kind == "base" and exp:
             x = oracle.power(value, exp)
