@@ -31,7 +31,10 @@ from hnnkit import (
     HnnWord,
     NormalForm,
     VertexLabel,
+    act,
+    axes_overlap,
     ball,
+    base_vertex,
     center,
     classify,
     cyclic_reduce,
@@ -54,6 +57,7 @@ from hnnkit import (
     phi_iter_domain,
     symdiff_ratio,
     thm1_hypothesis_bs,
+    to_vertex_label,
     tree_dot,
     unbounded_fixed_witness_bs,
 )
@@ -194,6 +198,17 @@ def _oracle_records(name: str, oracle, add) -> None:
     for chain in chains:
         for w in words[:10]:
             add("symdiff_ratio", outcome(symdiff_ratio, chain, w))
+    # unreduced words, whose pinches the label walk pops off its path; the
+    # backward axes of axes_overlap pop back through their conjugators
+    unreduced = _random_words(oracle, rng, 40)
+    for w in unreduced:
+        add("to_vertex_label", outcome(to_vertex_label, w))
+        add("act", outcome(act, w, rng.choice(vs)))
+    add("act", outcome(act, unreduced[0], base_vertex(make_bs(5, 7))))
+    for g, h in zip(unreduced[::2], unreduced[1::2]):
+        for r in (3, 6):
+            add("axes_overlap", outcome(axes_overlap, g, h, r))
+        add("axes_overlap", outcome(axes_overlap, g, g, 6))
 
 
 def _guard_records(name: str, oracle, add) -> None:
