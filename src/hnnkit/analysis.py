@@ -19,6 +19,7 @@ from .calculus import (
     HnnWord,
     NormalForm,
     VerificationError,
+    _phi_iterates,
     _reduced_word,
     _seam,
     base_word,
@@ -285,20 +286,13 @@ def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
 def folner_chain_ascending(oracle: BaseOracle, lam, k: int) -> FolnerChain:
     """The chain phi^0(lam), ..., phi^k(lam) for an ascending oracle
     (H = whole base group) with abelian base; verified."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    elements = (lam, *_phi_iterates(oracle, lam, k, "k"))
     if oracle.is_identity(lam):
         raise ValueError("lam must be nontrivial")
-    elements = [lam]
-    cur = lam
-    for _ in range(k):
-        if not oracle.in_H(cur):
-            raise DomainError(
-                f"oracle is not ascending: {oracle.format_element(cur)} left H"
-            )
-        cur = oracle.phi(cur)
-        elements.append(cur)
-    chain = FolnerChain(oracle, f"{oracle.name} ascending", tuple(elements))
+    if len(elements) <= k:
+        left = oracle.format_element(elements[-1])
+        raise DomainError(f"oracle is not ascending: {left} left H")
+    chain = FolnerChain(oracle, f"{oracle.name} ascending", elements)
     chain.verify(require_distinct=False, interior_only=True)
     return chain
 

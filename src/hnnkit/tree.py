@@ -7,12 +7,12 @@ from the base vertex (a sequence of coset-representative steps), which makes
 the tree metric a prefix computation and the ball enumeration free of
 equality checks.
 
-The walks (``ball``, ``fixed_subtree`` and the descent to Min gamma) extend
-bare path tuples through one child-step table.  It, ``VertexLabel.step`` and
-``tree_dot`` share one backtracking rule: an identity representative against
-the sign of the path's last step leads back to the parent.  No per-edge
-object is built, and a label wraps only a vertex that is returned and hashes
-by its path alone.
+A word moves a vertex by one walk, ``_walk``, which splits each base element
+into a left-coset representative (the next step) and a subgroup part carried
+across the stable letter, and pops the path where the word leads back.  The
+enumerations (``ball``, ``fixed_subtree`` and the descent to Min gamma)
+extend bare path tuples through one child-step table instead.  A label wraps
+only a vertex that is returned and hashes by its path alone.
 
 ``ball`` and ``fixed_subtree`` are one walk over a fixed set, by classes of
 vertices, not by vertices: whether a child of a fixed vertex v is fixed
@@ -35,13 +35,15 @@ an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from itertools import cycle, islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from .calculus import (
     BaseOracle,
     HnnWord,
     VerificationError,
     _reduced_word,
+    _same_oracle,
     _seam,
     _unpinch,
     base_word,
@@ -51,7 +53,6 @@ from .calculus import (
     format_word,
     identity_word,
     inv,
-    mul,
 )
 from .bs import make_bs
 
@@ -118,18 +119,15 @@ class VertexLabel:
         """The path word ``r_1 t^s_1 ... r_k t^s_k``.  It is pinch-free: a
         representative lies in its subgroup only when it is the identity,
         and an identity step against the previous sign would backtrack."""
-        e = self.oracle.identity
-        if not self.path:
-            return _reduced_word(self.oracle, e, ())
-        reps = [rep for rep, _ in self.path[1:]] + [e]
-        pairs = tuple((sign, r) for (_, sign), r in zip(self.path, reps))
-        return _reduced_word(self.oracle, self.path[0][0], pairs)
+        reps = [rep for rep, _ in self.path] + [self.oracle.identity]
+        pairs = tuple((sign, r) for (_, sign), r in zip(self.path, reps[1:]))
+        return _reduced_word(self.oracle, reps[0], pairs)
 
     def step(self, rep, sign: int) -> "VertexLabel":
-        """Move across one edge; a backtracking step pops to the parent."""
-        if self.path and _backtracks(self.oracle, self.path[-1][1], rep, sign):
-            return VertexLabel(self.oracle, self.path[:-1])
-        return VertexLabel(self.oracle, self.path + ((rep, sign),))
+        """Move across the edge of ``rep t^sign``: any base element names
+        the edge of its coset, and a step back pops to the parent."""
+        oracle = self.oracle
+        return VertexLabel(oracle, _walk(oracle, self.path, rep, ((sign, oracle.identity),))[0])
 
     def __hash__(self) -> int:
         # the path alone: equal labels have equal paths, and the oracle,
@@ -170,32 +168,41 @@ def neighbors(v: VertexLabel) -> list[EdgeRef]:
     return edges
 
 
-def to_vertex_label(g: HnnWord) -> VertexLabel:
-    """Canonical label of the coset g L.
-
-    Britton-reduce, then push subgroup parts rightward through the stable
-    letters (h t = t phi(h), k t^-1 = t^-1 phi^-1(k)), emitting left-coset
-    representatives; the trailing base element is absorbed by L.
-    """
-    oracle = g.oracle
-    w = britton_reduce(g)
-    path = []
-    x = w.head
-    for sign, lam in w.tail:
-        if sign == 1:
-            rep, s = oracle.decompose_right_H(x)
-            carry = oracle.phi(s)
+def _walk(oracle: BaseOracle, path: tuple, x, tail) -> tuple[tuple, object]:
+    """The path of v x t^s1 l1 ... t^sk lk L, for the vertex v of ``path``
+    and the tokens ``(s_i, l_i)`` of ``tail``, reduced or not, and the base
+    element left over.  At each t^s, x splits into a left-coset
+    representative r, the step (r, s), and a subgroup part carried across
+    the letter (h t = t phi(h), k t^-1 = t^-1 phi^-1(k)); but where t^s' x t^s
+    is a pinch for the path's last step (r', s'), the walk pops that step
+    and r' times the unpinched element becomes x."""
+    omul = oracle.mul
+    path = list(path)
+    for sign, lam in tail:
+        y = _unpinch(oracle, path[-1][1], x, sign) if path else None
+        if y is not None:
+            x = omul(path.pop()[0], y)
         else:
-            rep, s = oracle.decompose_right_K(x)
-            carry = oracle.phi_inv(s)
-        path.append((rep, sign))
-        x = oracle.mul(carry, lam)
-    return VertexLabel(oracle, tuple(path))
+            rep, s = oracle.decompose_right_H(x) if sign == 1 else oracle.decompose_right_K(x)
+            path.append((rep, sign))
+            x = oracle.phi(s) if sign == 1 else oracle.phi_inv(s)
+        x = omul(x, lam)
+    return tuple(path), x
+
+
+def to_vertex_label(g: HnnWord) -> VertexLabel:
+    """Canonical label of the coset g L: the walk of g's tokens from the
+    base vertex, reduced or not."""
+    return VertexLabel(g.oracle, _walk(g.oracle, (), g.head, g.tail)[0])
 
 
 def act(g: HnnWord, v: VertexLabel) -> VertexLabel:
-    """Left translation of the vertex g L by a group element."""
-    return to_vertex_label(mul(g, v.word()))
+    """Left translation of the vertex g L by a group element: the walk of
+    g's tokens from the base vertex, continued by v's path word."""
+    w = v.word()
+    oracle = _same_oracle(g, w)
+    path, x = _walk(oracle, (), g.head, g.tail)
+    return VertexLabel(oracle, _walk(oracle, path, oracle.mul(x, w.head), w.tail)[0])
 
 
 def _common_prefix(u: VertexLabel, v: VertexLabel) -> int:
@@ -395,35 +402,28 @@ class IsometryClass:
     axis_sample: Optional[tuple[VertexLabel, ...]] = None
 
 
-def _axis_labels(
-    conj: HnnWord, core: HnnWord, periods: int, backward: bool = False
-) -> list[VertexLabel]:
-    """Labels of conj * (prefixes of core^periods), the start vertex first.
-
-    The core's head is folded in before each period's syllables; it does not
-    move the vertex (the base group is absorbed) but it is needed so that
-    deeper prefixes name the true axis vertices.
-    """
-    oracle = core.oracle
-    word = core if not backward else inv(core)
-    head = base_word(oracle, word.head)
-    sylls = [_reduced_word(oracle, oracle.identity, (pair,)) for pair in word.tail]
-    g = conj
-    labels = [to_vertex_label(g)]
-    for _ in range(periods):
-        g = mul(g, head)
-        for syll in sylls:
-            g = mul(g, syll)
-            labels.append(to_vertex_label(g))
-    return labels
+def _axis_labels(conj: HnnWord, word: HnnWord) -> Iterator[VertexLabel]:
+    """The vertices conj * (prefixes of word^k) L for k = 0, 1, ..., the
+    start conj L first: one walk through conj, then one step per syllable of
+    the word, period after period.  The word's head joins each period's last
+    syllable: it does not move that vertex, but it moves the next period's."""
+    oracle = word.oracle
+    *body, (sign, lam) = word.tail
+    period = (*body, (sign, oracle.mul(lam, word.head)))
+    path, x = _walk(oracle, (), conj.head, conj.tail)
+    x = oracle.mul(x, word.head)
+    yield VertexLabel(oracle, path)
+    for token in cycle(period):
+        path, x = _walk(oracle, path, x, (token,))
+        yield VertexLabel(oracle, path)
 
 
 def classify(gamma: HnnWord) -> IsometryClass:
     """Elliptic when the cyclic core is a base element, else hyperbolic with
     translation length the core's stable-letter count and an axis sample of
-    three periods."""
-    # reduced once here, so that each act(gamma, v) below reuses it
-    gamma = britton_reduce(gamma)
+    three periods, taken by one walk.  Each answer is checked by ``act``:
+    the witness is fixed, and gamma moves each sample vertex by exactly the
+    translation length."""
     core, conj = cyclic_reduce(gamma)
     if not core.tail:
         witness = to_vertex_label(conj)
@@ -431,7 +431,7 @@ def classify(gamma: HnnWord) -> IsometryClass:
             raise VerificationError("elliptic witness must be fixed")
         return IsometryClass(ELLIPTIC, fixed_vertex=witness, conjugator=conj)
     tl = len(core.tail)
-    sample = tuple(_axis_labels(conj, core, 3))
+    sample = tuple(islice(_axis_labels(conj, core), 1 + 3 * tl))
     for v in sample:
         if distance(v, act(gamma, v)) != tl:
             raise VerificationError("axis sample must realize the translation length")
@@ -555,7 +555,7 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
     if cls.kind == HYPERBOLIC:
         core, conj = cyclic_reduce(gamma)
         periods = max(2, -(-radius // max(1, len(core.tail))))
-        ray = tuple(_axis_labels(conj, core, periods))
+        ray = tuple(islice(_axis_labels(conj, core), 1 + periods * len(core.tail)))
         return DeltaPoint(kind="end", ray=ray, period=core)
     fixed, touches = fixed_subtree(gamma, radius)
     if touches or not fixed:
@@ -576,10 +576,11 @@ def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
         core, conj = cyclic_reduce(gamma)
         if not core.tail:
             raise NotHyperbolicError("axes exist only for hyperbolic elements")
-        offset = to_vertex_label(conj).depth
-        periods = -(-(radius + offset) // len(core.tail)) + 1
-        pts = set(_axis_labels(conj, core, periods))
-        pts |= set(_axis_labels(conj, core, periods, backward=True))
+        forward = _axis_labels(conj, core)
+        start = next(forward)
+        count = (-(-(radius + start.depth) // len(core.tail)) + 1) * len(core.tail)
+        pts = {start, *islice(forward, count)}
+        pts.update(islice(_axis_labels(conj, inv(core)), 1, count + 1))
         sets.append({v for v in pts if v.depth <= radius})
     return len(sets[0] & sets[1])
 
@@ -592,12 +593,11 @@ def tree_dot(oracle: BaseOracle, radius: int, gamma: Optional[HnnWord] = None) -
     names = {v.path: label_str(v) for v in vs}
     lines = ["digraph bass_serre_ball {"]
     lines += [f'  "{name}";' for name in names.values()]
-    for path, name in names.items():
-        last = path[-1][1] if path else 0
+    for v in vs:
         for rep in oracle.h_transversal():
-            target = path[:-1] if _backtracks(oracle, last, rep, 1) else path + ((rep, 1),)
+            target = v.step(rep, 1).path
             if target in names:
-                lines.append(f'  "{name}" -> "{names[target]}";')
+                lines.append(f'  "{names[v.path]}" -> "{names[target]}";')
     if gamma is not None:
         for v in vs:
             target = act(gamma, v).path

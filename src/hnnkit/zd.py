@@ -1,11 +1,11 @@
 """Base oracle for L = Z^d with H = Z^d and K = phi(Z^d), phi an injective
 integer matrix.
 
-This is the ascending setting: every base element lies in H, membership in
-K is decided by exact lattice arithmetic, and K-coset representatives come
-from the mixed-radix residue of a column-style Hermite basis.  An eigenvalue
-is a primitive k-th root of unity exactly when det(Phi_k(M)) = 0, decided in
-integer arithmetic, never through floating point.
+This is the ascending setting: every base element lies in H.  Membership in
+K, the K-coset representatives and phi^-1 all come from one mixed-radix
+residue against a column-style Hermite basis B = M U, U unimodular.  An
+eigenvalue is a primitive k-th root of unity exactly when det(Phi_k(M)) = 0,
+decided in integer arithmetic, never through floating point.
 """
 
 from __future__ import annotations
@@ -102,20 +102,6 @@ def det_int(M: IntegerMatrix) -> int:
     return sign * a[d - 1][d - 1]
 
 
-def adjugate_int(M: IntegerMatrix) -> IntegerMatrix:
-    """The integer matrix adj(M) with M adj(M) = det(M) I, by cofactors."""
-    d = len(M)
-    if d == 1:
-        return ((1,),)
-
-    def minor(r, c):
-        return tuple(row[:c] + row[c + 1:] for i, row in enumerate(M) if i != r)
-
-    return tuple(
-        tuple((-1) ** (i + j) * det_int(minor(j, i)) for j in range(d)) for i in range(d)
-    )
-
-
 def _rref(A) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of A over the rationals, by Gauss-Jordan
     elimination: the rows, and the pivot column of each nonzero row."""
@@ -137,21 +123,14 @@ def _rref(A) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def solve_exact(M: IntegerMatrix, v: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Unique rational solution of M x = v for nonsingular M."""
-    d = len(M)
-    rows, pivots = _rref([list(row) + [x] for row, x in zip(M, v)])
-    if pivots != list(range(d)):
-        raise ValueError("matrix is singular")
-    return tuple(row[d] for row in rows)
-
-
 def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
     """Lower-triangular Hermite basis of the lattice spanned by the columns
     of M (positive diagonal, left-of-diagonal entries reduced into
-    [0, diagonal)).  Requires det(M) != 0."""
-    d = len(M)
-    cols = [[M[i][j] for i in range(d)] for j in range(d)]
+    [0, diagonal)).  Requires the top square block of M to be nonsingular.
+    Rows below that block follow the same column operations, so on [M; I]
+    they give the unimodular U with basis M U."""
+    d, n = len(M[0]), len(M)
+    cols = [[M[i][j] for i in range(n)] for j in range(d)]
     basis: list[list[int]] = []
     rest = cols
     for i in range(d):
@@ -162,7 +141,7 @@ def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
             for c in live[1:]:
                 if c[i] != 0:
                     q = c[i] // pivot[i]
-                    for r in range(d):
+                    for r in range(n):
                         c[r] -= q * pivot[r]
             live = [c for c in live if any(c)]
         pivot = next((c for c in live if c[i] != 0), None)
@@ -176,9 +155,9 @@ def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
         for j in range(i):
             q = basis[j][i] // basis[i][i]
             if q:
-                for r in range(d):
+                for r in range(n):
                     basis[j][r] -= q * basis[i][r]
-    return tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
+    return tuple(tuple(basis[j][i] for j in range(d)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -198,15 +177,9 @@ class ZdOracle(BaseOracle):
 
     @cached_property
     def hnf(self) -> IntegerMatrix:
-        return column_hnf(self.matrix)
-
-    @cached_property
-    def det(self) -> int:
-        return det_int(self.matrix)
-
-    @cached_property
-    def adjugate(self) -> IntegerMatrix:
-        return adjugate_int(self.matrix)
+        """The Hermite basis B of K = M Z^d stacked on the unimodular U with
+        B = M U: ``column_hnf`` of [M; I]."""
+        return column_hnf(self.matrix + identity_matrix(self.dim))
 
     def mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
@@ -217,29 +190,30 @@ class ZdOracle(BaseOracle):
     def in_H(self, x) -> bool:
         return True
 
-    def _residue(self, v) -> tuple[int, ...]:
+    def _divmod(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(q, r)`` with v = B q + r and 0 <= r_i < B_ii: r is the canonical
+        K-coset representative of v, and v lies in K exactly when r = 0."""
         B = self.hnf
-        r = list(v)
+        q, r = [], list(v)
         for i in range(self.dim):
-            q = r[i] // B[i][i]
-            if q:
-                for row in range(self.dim):
-                    r[row] -= q * B[row][i]
-        return tuple(r)
+            q.append(r[i] // B[i][i])
+            if q[i]:
+                for row in range(i, self.dim):
+                    r[row] -= q[i] * B[row][i]
+        return tuple(q), tuple(r)
 
     def in_K(self, x) -> bool:
-        return self._residue(x) == self.identity
+        return self._divmod(x)[1] == self.identity
 
     def phi(self, x):
         return mat_vec(self.matrix, x)
 
     def phi_inv(self, x):
-        # M^-1 x = adj(M) x / det(M), exact when det(M) divides every entry
-        y = mat_vec(self.adjugate, x)
-        det = self.det
-        if any(v % det for v in y):
+        # x = B q exactly when x lies in K, and then M^-1 x = U q, as B = M U
+        q, r = self._divmod(x)
+        if r != self.identity:
             raise DomainError(f"{self.format_element(x)} is not in K = phi(Z^{self.dim})")
-        return tuple(v // det for v in y)
+        return mat_vec(self.hnf[self.dim:], q)
 
     def decompose_left_H(self, x):
         return (x, self.identity)
@@ -248,11 +222,11 @@ class ZdOracle(BaseOracle):
         return (self.identity, x)
 
     def decompose_left_K(self, x):
-        r = self._residue(x)
+        r = self._divmod(x)[1]
         return (self.mul(x, self.inv(r)), r)
 
     def decompose_right_K(self, x):
-        r = self._residue(x)
+        r = self._divmod(x)[1]
         return (r, self.mul(self.inv(r), x))
 
     def is_central(self, x) -> bool:

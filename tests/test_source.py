@@ -113,6 +113,26 @@ def test_only_split_decomposes_on_the_left():
     assert found == []
 
 
+def test_one_walk_moves_a_vertex():
+    # the left-coset carry of a vertex label lives in tree._walk alone, and
+    # the backtrack test of a step in _walk and the child-step table
+    def outside(allowed, hit):
+        return [
+            f"{path.name}:{node.lineno} {func.name}"
+            for path, tree in parsed_sources()
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) not in allowed
+            for node in ast.walk(func)
+            if hit(node)
+        ]
+
+    carry = {"decompose_right_H", "decompose_right_K"}
+    assert outside({("tree.py", "_walk")}, lambda node: (
+        getattr(node, "attr", None) in carry or getattr(node, "id", None) in carry)) == []
+    assert outside({("tree.py", "_walk"), ("tree.py", "_child_steps")}, lambda node: (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_backtracks")) == []
+
+
 def test_one_size_check_for_the_tree_walks():
     # ball and fixed_subtree are one class walk, refused by one check
     names = ("_BALL_LIMIT", "_STEP_LIMIT")

@@ -279,6 +279,36 @@ def test_label_same_coset_same_label(bs23):
         assert to_vertex_label(g) != to_vertex_label(k)
 
 
+@pytest.mark.parametrize(
+    "oracle",
+    [make_bs(2, 3), make_bs(-3, 4), make_bs(2, 2), make_zd([[2, 1], [1, 1]])],
+    ids=["BS(2,3)", "BS(-3,4)", "BS(2,2)", "Z2-fib"],
+)
+def test_step_is_the_label_of_the_product(oracle):
+    # any base element x names an edge: the one from v to v x t^s L, which a
+    # representative outside the transversal reaches through its coset
+    rng = random.Random(23)
+    if oracle.name == "bs":
+        xs = range(-7, 8)
+    else:
+        xs = [tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(12)]
+    for v in ball(oracle, 2):
+        for x in xs:
+            for sign in (1, -1):
+                u = v.step(x, sign)
+                g = mul(v.word(), mul(base_word(oracle, x), stable_word(oracle, sign)))
+                assert u == to_vertex_label(g)
+                assert distance(v, u) == 1
+
+
+def test_step_outside_the_transversal(bs23):
+    # b^2 a b^2 a^-1 = b^5, and b^5 a L = b^2 a L
+    o = base_vertex(bs23)
+    assert o.step(2, 1).step(2, -1) == o
+    assert o.step(5, 1) == o.step(2, 1)
+    assert o.step(2, 1).step(4, -1) == o.step(2, 1).step(0, -1) == o
+
+
 def test_act_examples(bs23):
     t_vertex = to_vertex_label(stable_word(bs23))
     assert label_str(act(base_word(bs23, 1), t_vertex)) == "b a"
@@ -789,6 +819,36 @@ def test_axes_overlap_stabilizes(bs23):
     a = stable_word(bs23)
     other = parse_word(bs23, "b a b^-1")
     assert [axes_overlap(a, other, r) for r in (4, 6, 8)] == [1, 1, 1]
+
+
+def test_axes_take_one_walk(bs23, monkeypatch):
+    # each axis vertex is one step of a walk: no product and no label from
+    # scratch per vertex, so the calls do not grow with the radius or the core
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(tree, "to_vertex_label", counted(tree.to_vertex_label))
+    # tree.py has no mul of its own; a patched one would count a new import
+    monkeypatch.setattr(tree, "mul", counted(calculus.mul), raising=False)
+    monkeypatch.setattr(calculus, "mul", counted(calculus.mul))
+    g = parse_word(bs23, "b^2 a b a^-1 b a b^-2")
+    h = parse_word(bs23, "b a b^2 a b^-1")
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(classify, parse_word(bs23, "b a b^-1")) == count(
+        classify, parse_word(bs23, "b " + "a b " * 12 + "b^-1"))
+    assert count(delta, g, 10) == count(delta, g, 300)
+    assert count(axes_overlap, g, h, 10) == count(axes_overlap, g, h, 300)
+    assert 0 < count(delta, g, 300) < 10
 
 
 def test_axes_overlap_rejects_elliptic(bs23):

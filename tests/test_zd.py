@@ -16,19 +16,27 @@ from hnnkit import (
 )
 from hnnkit.zd import (
     _cyclotomic,
-    adjugate_int,
+    _rref,
     column_hnf,
     cyclotomic_order_candidates,
     det_int,
-    identity_matrix,
     mat_mul,
     mat_pow,
     mat_vec,
-    solve_exact,
 )
 
 COMPANION_PHI6 = [[0, -1], [1, 1]]  # x^2 - x + 1
 FIB = [[2, 1], [1, 1]]  # x^2 - 3x + 1
+
+
+def solve_exact(M, v):
+    """Unique rational solution of M x = v for nonsingular M: the reference
+    for phi_inv and in_K, by Gauss-Jordan elimination over the rationals."""
+    d = len(M)
+    rows, pivots = _rref([list(row) + [x] for row, x in zip(M, v)])
+    if pivots != list(range(d)):
+        raise ValueError("matrix is singular")
+    return tuple(row[d] for row in rows)
 
 
 def test_make_zd_rejects_singular():
@@ -79,14 +87,20 @@ def test_phi_inv_matches_exact_solve(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_adjugate_times_matrix_is_det(dim):
+def test_hermite_basis_is_m_times_a_unimodular_matrix(dim):
+    # phi_inv(B q) = U q rests on B = M U with U invertible over the integers
     rng = random.Random(5 + dim)
-    for _ in range(20):
+    tried = 0
+    while tried < 20:
         M = tuple(tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(dim))
-        det = det_int(M)
-        scaled = tuple(tuple(det * x for x in row) for row in identity_matrix(dim))
-        assert mat_mul(M, adjugate_int(M)) == scaled
-        assert mat_mul(adjugate_int(M), M) == scaled
+        if det_int(M) == 0:
+            continue
+        tried += 1
+        BU = make_zd(M).hnf
+        B, U = BU[:dim], BU[dim:]
+        assert B == column_hnf(M)
+        assert B == mat_mul(M, U)
+        assert det_int(U) in (1, -1)
 
 
 def test_phi_inv_in_dimension_one():
@@ -136,9 +150,9 @@ def test_k_transversal_size_is_det():
     oracle = make_zd([[2, 1], [0, 3]])
     reps = oracle.k_transversal()
     assert len(reps) == 6
-    assert len({oracle._residue(r) for r in reps}) == 6
+    assert len({oracle._divmod(r) for r in reps}) == 6
     for r in reps:
-        assert oracle._residue(r) == r
+        assert oracle._divmod(r) == (oracle.identity, r)
 
 
 def test_column_hnf_shape():
