@@ -42,11 +42,14 @@ from hnnkit import (
     distance,
     escape_exponent,
     fixed_by_some_phi_j,
+    fixed_lattice_rank,
     fixed_subtree,
     folner_chain_ascending,
     folner_chain_bs,
+    has_root_of_unity_eigenvalue,
     icc_decide_bs,
     icc_decide_zd,
+    integer_fixed_vector,
     make_bs,
     make_zd,
     min_displacement_bfs,
@@ -62,6 +65,7 @@ from hnnkit import (
     unbounded_fixed_witness_bs,
 )
 from hnnkit.bs import BsOracle, BsParams
+from hnnkit.zd import det_int
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 SEED = 20261018
@@ -220,6 +224,25 @@ def _guard_records(name: str, oracle, add) -> None:
         add("cyclic_reduce", outcome(cyclic_reduce, w))
 
 
+def _matrix_records(d: int, add) -> None:
+    """The integer linear algebra behind the Z^d ICC decision, on seeded
+    d x d matrices with entries in [-3, 3]; every fifth is made singular by
+    a last row that combines the others (the zero row when d = 1)."""
+    rng = random.Random(f"{SEED}:Z^{d}")
+    for i in range(60):
+        M = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if i % 5 == 0:
+            coeffs = [rng.randint(-1, 1) for _ in range(d - 1)]
+            M[-1] = [sum(c * row[j] for c, row in zip(coeffs, M)) for j in range(d)]
+        M = tuple(map(tuple, M))
+        add("det_int", outcome(det_int, M))
+        for j in range(1, 7):
+            add("fixed_lattice_rank", outcome(fixed_lattice_rank, M, j))
+        for j in range(1, 13):
+            add("integer_fixed_vector", outcome(integer_fixed_vector, M, j))
+        add("has_root_of_unity_eigenvalue", outcome(has_root_of_unity_eigenvalue, M))
+
+
 def corpus() -> dict[tuple[str, str], list[str]]:
     """The records of every (function, oracle) pair, in call order."""
     records: dict[tuple[str, str], list[str]] = defaultdict(list)
@@ -231,6 +254,8 @@ def corpus() -> dict[tuple[str, str], list[str]]:
         _oracle_records(name, oracle, add_to(name))
     name = "BS(2,3) dropping K-representatives"
     _guard_records(name, _DropsKRepresentative(BsParams(2, 3)), add_to(name))
+    for d in range(1, 5):
+        _matrix_records(d, add_to(f"Z^{d} matrices"))
     return dict(records)
 
 
