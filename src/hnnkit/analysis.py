@@ -333,7 +333,8 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
     base element from H, which for BS(m, n) holds exactly when n does not
     divide m (some prime has a strictly larger valuation in n than in m, so
     the valuation drops at every step; if n | m the element b^n never
-    leaves H).  Refuses otherwise.
+    leaves H).  Refuses otherwise.  The scan stops before n_max once every
+    conjugate is outside the base group for good.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -365,6 +366,13 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
             run_start = None
         elif run_start is None:
             run_start = step
+        # a word outside stays outside for good when its a-exponent sum is
+        # nonzero, or when it reads a^-1 ... a, a shape conjugation by a
+        # keeps with no pinch (Britton's lemma): then the run is final
+        if run_start is not None and all(
+            sum(s for s, _ in w.tail) or (w.tail[0][0], w.tail[-1][0]) == (-1, 1) for w in current
+        ):
+            return run_start
     if run_start is None:
         raise EscapeExhaustionError(
             f"no escape exponent up to n_max = {n_max}; "

@@ -49,9 +49,7 @@ from .calculus import (
     base_word,
     britton_reduce,
     cyclic_reduce,
-    equals,
     format_word,
-    identity_word,
     inv,
 )
 from .bs import make_bs
@@ -424,7 +422,11 @@ def classify(gamma: HnnWord) -> IsometryClass:
     three periods, taken by one walk.  Each answer is checked by ``act``:
     the witness is fixed, and gamma moves each sample vertex by exactly the
     translation length."""
-    core, conj = cyclic_reduce(gamma)
+    return _classify(gamma, *cyclic_reduce(gamma))
+
+
+def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord) -> IsometryClass:
+    """``classify`` of gamma = conj core conj^-1, from its cyclic reduction."""
     if not core.tail:
         witness = to_vertex_label(conj)
         if act(gamma, witness) != witness:
@@ -548,12 +550,12 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
     inside the ball; when it reaches the boundary the fixed subtree may be
     unbounded and no center is guessed.
     """
-    oracle = gamma.oracle
-    if equals(gamma, identity_word(oracle)):
+    core, conj = cyclic_reduce(gamma)
+    # gamma is trivial exactly when its conjugate core is
+    if not core.tail and gamma.oracle.is_identity(core.head):
         raise TrivialElementError("delta is undefined on the trivial element")
-    cls = classify(gamma)
+    cls = _classify(gamma, core, conj)
     if cls.kind == HYPERBOLIC:
-        core, conj = cyclic_reduce(gamma)
         periods = max(2, -(-radius // max(1, len(core.tail))))
         ray = tuple(islice(_axis_labels(conj, core), 1 + periods * len(core.tail)))
         return DeltaPoint(kind="end", ray=ray, period=core)

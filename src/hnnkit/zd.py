@@ -3,18 +3,18 @@ integer matrix.
 
 This is the ascending setting: every base element lies in H.  Membership in
 K, the K-coset representatives and phi^-1 all come from one mixed-radix
-residue against a column-style Hermite basis B = M U, U unimodular.  An
-eigenvalue is a primitive k-th root of unity exactly when det(Phi_k(M)) = 0,
-decided in integer arithmetic, never through floating point.
-"""
+residue against a column-style Hermite basis B = M U, U unimodular.  Every
+determinant, rank and fixed vector comes from one fraction-free elimination,
+``_echelon``; an eigenvalue is a root of unity exactly when det(M^k - I) = 0
+for some k with totient(k) <= d.  All of it is integer arithmetic, never
+floating point or fractions."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from typing import Optional
 
 from .calculus import BaseOracle, DomainError
@@ -79,48 +79,39 @@ def mat_sub(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
     return tuple(tuple(A[i][j] - B[i][j] for j in range(d)) for i in range(d))
 
 
-def det_int(M: IntegerMatrix) -> int:
-    """Fraction-free Bareiss elimination; exact for integer matrices."""
-    d = len(M)
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, d):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[d - 1][d - 1]
-
-
-def _rref(A) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of A over the rationals, by Gauss-Jordan
-    elimination: the rows, and the pivot column of each nonzero row."""
-    rows = [[Fraction(x) for x in row] for row in A]
+def _echelon(A) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form of an integer matrix by Bareiss
+    elimination, skipping a column that has no pivot: the rows, the pivot
+    column of each leading row, and the sign of the row swaps.  Once r
+    pivots are placed, every entry of the rows below them is an (r+1)-minor
+    of the swapped rows (Sylvester's identity), so each division is exact,
+    and a pivot in column r after pivots in columns 0..r-1 is the leading
+    (r+1) x (r+1) minor."""
+    rows = [list(row) for row in A]
     pivots: list[int] = []
+    sign, prev = 1, 1
     for col in range(len(rows[0])):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        pv = rows[r][col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(x * pv - f * y) // prev for x, y in zip(rows[i], rows[r])]
+        prev = pv
         pivots.append(col)
-    return rows, pivots
+    return rows, pivots, sign
+
+
+def det_int(M: IntegerMatrix) -> int:
+    """Exact determinant: the signed last pivot of ``_echelon``, or 0 below
+    full rank."""
+    rows, pivots, sign = _echelon(M)
+    return sign * rows[-1][-1] if len(pivots) == len(M) else 0
 
 
 def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
@@ -284,38 +275,20 @@ def cyclotomic_order_candidates(d: int) -> list[int]:
             if sum(1 for i in range(1, k + 1) if gcd(i, k) == 1) <= d]
 
 
-@cache
-def _cyclotomic(k: int) -> tuple[int, ...]:
-    """Integer coefficients of the k-th cyclotomic polynomial, constant term
-    first: x^k - 1 divided exactly by Phi_e for every proper divisor e of k."""
-    p = [-1] + [0] * (k - 1) + [1]
-    for e in range(1, k):
-        if k % e:
-            continue
-        q = _cyclotomic(e)  # monic, so the long division stays in the integers
-        n = len(q) - 1
-        quotient = [0] * (len(p) - n)
-        for i in reversed(range(len(quotient))):
-            c = quotient[i] = p[i + n]
-            for j, qj in enumerate(q):
-                p[i + j] -= c * qj
-        p = quotient
-    return tuple(p)
-
-
 def has_root_of_unity_eigenvalue(M) -> Optional[int]:
     """Smallest k >= 1 such that some eigenvalue of M is a primitive k-th
-    root of unity; None if no eigenvalue is a root of unity.  The eigenvalues
-    of Phi_k(M) are the values Phi_k(lambda) at the eigenvalues lambda of M,
-    so the test is det(Phi_k(M)) == 0, with Phi_k(M) by Horner's rule."""
+    root of unity; None if no eigenvalue is a root of unity.  As
+    det(M^k - I) is the product of det(Phi_e(M)) over the divisors e of k,
+    the least candidate k with M^k - I singular is the least with Phi_k(M)
+    singular; the powers are built one multiplication at a time."""
     M = as_matrix(M)
     d = len(M)
-    for k in cyclotomic_order_candidates(d):
-        P = identity_matrix(d)  # Phi_k is monic; each step is P <- P M + c I
-        for c in reversed(_cyclotomic(k)[:-1]):
-            P = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
-                      for i, row in enumerate(mat_mul(P, M)))
-        if det_int(P) == 0:
+    I = identity_matrix(d)
+    candidates = cyclotomic_order_candidates(d)
+    P = I
+    for k in range(1, candidates[-1] + 1):
+        P = mat_mul(P, M)
+        if k in candidates and det_int(mat_sub(P, I)) == 0:
             return k
     return None
 
@@ -332,27 +305,25 @@ def fixed_lattice_rank(M, j: int) -> int:
     """Rank of the integer kernel of M^j - I; zero exactly when phi^j is
     fixed-point-free on Z^d, equivalently det(M^j - I) != 0."""
     A = _fixed_point_system(M, j)
-    return len(A) - len(_rref(A)[1])
+    return len(A) - len(_echelon(A)[1])
 
 
 def integer_fixed_vector(M, j: int) -> Optional[tuple[int, ...]]:
     """A nonzero primitive integer vector fixed by M^j, or None when M^j is
-    fixed-point-free."""
+    fixed-point-free: the one supported on coordinates 0..f, f the first
+    column without pivot, with first nonzero entry positive.  Its entry f is
+    the leading f x f minor (the last pivot before f), and back-substitution
+    through the triangular pivot rows divides exactly."""
     A = _fixed_point_system(M, j)
-    d = len(A)
-    rows, pivots = _rref(A)
-    free = next((c for c in range(d) if c not in pivots), None)
-    if free is None:
+    rows, pivots, _ = _echelon(A)
+    f = next((c for c in range(len(A)) if c not in pivots), None)
+    if f is None:
         return None
-    vec = [Fraction(0)] * d
-    vec[free] = Fraction(1)
-    for r, pcol in enumerate(pivots):
-        vec[pcol] = -rows[r][free]
-    denom = lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    g = gcd(*(abs(a) for a in ints))
-    ints = [a // g for a in ints]
-    first = next(a for a in ints if a != 0)
-    if first < 0:
-        ints = [-a for a in ints]
-    return tuple(ints)
+    vec = [0] * len(A)
+    vec[f] = rows[f - 1][f - 1] if f else 1
+    for r in reversed(range(f)):
+        vec[r] = -sum(rows[r][c] * vec[c] for c in range(r + 1, f + 1)) // rows[r][r]
+    g = gcd(*vec)
+    if next(a for a in vec if a) < 0:
+        g = -g
+    return tuple(a // g for a in vec)

@@ -14,6 +14,7 @@ from hnnkit import (
     VerificationError,
     base_word,
     conjugate,
+    equals,
     escape_exponent,
     folner_chain_ascending,
     folner_chain_bs,
@@ -33,6 +34,7 @@ from hnnkit import (
     symdiff_ratio,
     thm1_hypothesis_bs,
 )
+from hnnkit import analysis
 from hnnkit.analysis import generator_letter_words, verify_finite_class
 
 
@@ -417,6 +419,73 @@ def test_escape_exhaustion(bs23):
     with pytest.raises(EscapeExhaustionError) as exc:
         escape_exponent([base_word(bs23, 3**40)], 5)
     assert exc.value.trace
+
+
+def reference_escape_exponent(words, n_max):
+    """The scan to n_max with no early stop: the first step of the last run
+    of steps at which every conjugate a^-n x a^n has a stable letter."""
+    oracle = words[0].oracle
+    a, a_inv = generator_letter_words(oracle)[:2]
+    current = list(words)
+    run_start, trace = None, []
+    for step in range(1, n_max + 1):
+        current = [mul(mul(a_inv, w), a) for w in current]
+        inside = [format_word(w) for w in current if not w.tail]
+        trace.append((step, inside))
+        if inside:
+            run_start = None
+        elif run_start is None:
+            run_start = step
+    if run_start is None:
+        raise EscapeExhaustionError(
+            f"no escape exponent up to n_max = {n_max}; "
+            f"still inside the base group: {trace[-1][1]}",
+            trace,
+        )
+    return run_start
+
+
+def escape_outcome(fn, words, n_max):
+    try:
+        return fn(words, n_max)
+    except EscapeExhaustionError as exc:
+        return str(exc), exc.trace
+
+
+def test_escape_stops_early_with_the_same_answer():
+    # a word stays outside for good once its a-exponent sum is nonzero or
+    # it reads a^-1 ... a; stopping there changes no answer and no trace
+    rng = random.Random(1207)
+    groups = [(2, 3), (3, 2), (2, 4), (1, 2), (1, 5), (-3, 4), (2, -3), (3, 5)]
+    outcomes = set()
+    for m, n in groups:
+        oracle = make_bs(m, n)
+        for _ in range(40):
+            words = []
+            while len(words) < rng.randint(1, 3):
+                tail = tuple((rng.choice((1, -1)), rng.randint(-9, 9)) for _ in range(rng.randint(0, 3)))
+                w = HnnWord(oracle, rng.choice((0, 1, -5, 7, 36, m * n, 2**9 * 3**7)), tail)
+                if not equals(w, identity_word(oracle)):
+                    words.append(w)
+            n_max = rng.randint(1, 14)
+            got = escape_outcome(escape_exponent, words, n_max)
+            assert got == escape_outcome(reference_escape_exponent, words, n_max), (m, n, words, n_max)
+            outcomes.add(type(got))
+    assert outcomes == {int, tuple}
+
+
+def test_escape_final_run_returns_before_n_max(bs23, monkeypatch):
+    calls = []
+    real = analysis.mul
+
+    def counted(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(analysis, "mul", counted)
+    words = [base_word(bs23, 3), stable_word(bs23)]
+    assert escape_exponent(words, 10**7) == 2
+    assert len(calls) <= 8
 
 
 def test_escape_rejects_trivial(bs23):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,18 @@ def test_witness_unbounded(capsys):
 def test_escape(capsys):
     _, out, _ = run(capsys, "--m", "2", "--n", "3", "escape", "b^3", "--max", "10")
     assert out == "2\n"
+
+
+def test_escape_large_max_returns_at_once():
+    # b^3 leaves the base group for good at step 2 and a never enters it, so
+    # the scan stops there instead of running to 10^7
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "hnnkit.cli", "--m", "2", "--n", "3",
+         "escape", "b^3", "a", "--max", "10000000"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=30,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "2\n", "")
 
 
 def test_escape_hypothesis_violation_exit_2(capsys):

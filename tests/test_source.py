@@ -133,6 +133,19 @@ def test_one_walk_moves_a_vertex():
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_backtracks")) == []
 
 
+def test_zd_eliminates_in_integers_only():
+    # determinants, ranks and fixed vectors come from zd._echelon, never
+    # from rational arithmetic
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["zd.py"]
+    found = [
+        f"zd.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    ]
+    assert found == []
+
+
 def test_one_size_check_for_the_tree_walks():
     # ball and fixed_subtree are one class walk, refused by one check
     names = ("_BALL_LIMIT", "_STEP_LIMIT")

@@ -766,6 +766,28 @@ def test_delta_rejects_trivial(bs23):
         delta(parse_word(bs23, "a^-1 b^3 a b^-2"), 3)
 
 
+def test_delta_reduces_once(bs23, zd_fib, monkeypatch):
+    # one cyclic reduction decides triviality, the class and the ray
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return calculus.cyclic_reduce(w)
+
+    monkeypatch.setattr(tree, "cyclic_reduce", counted)
+    cases = [(bs23, "b a b^-1 a", "end"), (bs23, "b", "vertex"), (bs23, "b^3", "possibly_unbounded"),
+             (bs23, "a^-1 b^3 a b^-2", None), (zd_fib, "e1 t e2 t^-1 e1^-1", "possibly_unbounded"),
+             (zd_fib, "t e1 t^-1 e1 e1^-1 t e1^-1 t^-1", None)]
+    for oracle, text, kind in cases:
+        calls.clear()
+        if kind is None:
+            with pytest.raises(TrivialElementError):
+                delta(parse_word(oracle, text), 5)
+        else:
+            assert delta(parse_word(oracle, text), 5).kind == kind
+        assert len(calls) == 1, text
+
+
 def test_delta_equivariance_elliptic(bs23):
     gamma = base_word(bs23, 1)
     for text in ["a", "b a", "a^-1", "a b"]:

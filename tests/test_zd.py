@@ -1,6 +1,8 @@
 import itertools
 import random
-from math import lcm
+from fractions import Fraction
+from functools import cache
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -15,8 +17,6 @@ from hnnkit import (
     parse_word,
 )
 from hnnkit.zd import (
-    _cyclotomic,
-    _rref,
     column_hnf,
     cyclotomic_order_candidates,
     det_int,
@@ -29,6 +29,27 @@ COMPANION_PHI6 = [[0, -1], [1, 1]]  # x^2 - x + 1
 FIB = [[2, 1], [1, 1]]  # x^2 - 3x + 1
 
 
+def _rref(A) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of A over the rationals, by Gauss-Jordan
+    elimination: the rows, and the pivot column of each nonzero row."""
+    rows = [[Fraction(x) for x in row] for row in A]
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def solve_exact(M, v):
     """Unique rational solution of M x = v for nonsingular M: the reference
     for phi_inv and in_K, by Gauss-Jordan elimination over the rationals."""
@@ -37,6 +58,131 @@ def solve_exact(M, v):
     if pivots != list(range(d)):
         raise ValueError("matrix is singular")
     return tuple(row[d] for row in rows)
+
+
+# --- the rational and cyclotomic routes, as references -----------------------
+
+
+def reference_det(M):
+    """Leibniz expansion: the sum over permutations of signed products."""
+    d = len(M)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(1 for i, j in itertools.combinations(range(d), 2) if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(M[i][perm[i]] for i in range(d))
+    return total
+
+
+def reference_fixed_system(M, j):
+    return tuple(tuple(x - (r == c) for c, x in enumerate(row))
+                 for r, row in enumerate(mat_pow(tuple(map(tuple, M)), j)))
+
+
+def reference_fixed_lattice_rank(M, j):
+    A = reference_fixed_system(M, j)
+    return len(A) - len(_rref(A)[1])
+
+
+def reference_fixed_vector(M, j):
+    """The kernel vector of M^j - I with a 1 at the first free column of the
+    reduced row echelon form, cleared of denominators, made primitive and
+    positive at its first nonzero entry."""
+    A = reference_fixed_system(M, j)
+    d = len(A)
+    rows, pivots = _rref(A)
+    free = next((c for c in range(d) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [Fraction(0)] * d
+    vec[free] = Fraction(1)
+    for r, pcol in enumerate(pivots):
+        vec[pcol] = -rows[r][free]
+    denom = lcm(*(f.denominator for f in vec))
+    ints = [int(f * denom) for f in vec]
+    g = gcd(*(abs(a) for a in ints))
+    ints = [a // g for a in ints]
+    first = next(a for a in ints if a != 0)
+    if first < 0:
+        ints = [-a for a in ints]
+    return tuple(ints)
+
+
+@cache
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Integer coefficients of the k-th cyclotomic polynomial, constant term
+    first: x^k - 1 divided exactly by Phi_e for every proper divisor e of k."""
+    p = [-1] + [0] * (k - 1) + [1]
+    for e in range(1, k):
+        if k % e:
+            continue
+        q = _cyclotomic(e)  # monic, so the long division stays in the integers
+        n = len(q) - 1
+        quotient = [0] * (len(p) - n)
+        for i in reversed(range(len(quotient))):
+            c = quotient[i] = p[i + n]
+            for j, qj in enumerate(q):
+                p[i + j] -= c * qj
+        p = quotient
+    return tuple(p)
+
+
+def reference_cyclotomic_route(M):
+    """Smallest candidate k with det(Phi_k(M)) = 0, Phi_k(M) by Horner's rule."""
+    M = tuple(map(tuple, M))
+    d = len(M)
+    for k in cyclotomic_order_candidates(d):
+        P = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        for c in reversed(_cyclotomic(k)[:-1]):  # monic: each step is P <- P M + c I
+            P = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                      for i, row in enumerate(mat_mul(P, M)))
+        if reference_det(P) == 0:
+            return k
+    return None
+
+
+def seeded_matrices(dim, count, seed):
+    """Matrices with entries in [-3, 3]; every fourth has a last row that
+    combines the others, so it is singular."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        M = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+        if i % 4 == 0:
+            coeffs = [rng.randint(-2, 2) for _ in range(dim - 1)]
+            M[-1] = [sum(c * row[j] for c, row in zip(coeffs, M)) for j in range(dim)]
+        out.append(tuple(map(tuple, M)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_echelon_matches_the_rational_references(dim):
+    ranks = set()
+    for M in seeded_matrices(dim, 60, 303 + dim):
+        assert det_int(M) == reference_det(M), M
+        for j in range(1, 9):
+            rank = fixed_lattice_rank(M, j)
+            assert rank == reference_fixed_lattice_rank(M, j), (M, j)
+            assert integer_fixed_vector(M, j) == reference_fixed_vector(M, j), (M, j)
+            ranks.add(rank)
+    assert len(ranks) > 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_root_of_unity_matches_the_cyclotomic_route(dim):
+    found = set()
+    for M in seeded_matrices(dim, 60, 404 + dim):
+        k = has_root_of_unity_eigenvalue(M)
+        assert k == reference_cyclotomic_route(M), M
+        found.add(k)
+    assert None in found and len(found) > 1
+
+
+def test_det_int_of_singular_and_swapped_matrices():
+    assert det_int(((0, 1), (1, 0))) == -1
+    assert det_int(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+    assert det_int(((1, 2, 3), (2, 4, 6), (0, 0, 1))) == 0
+    assert det_int(((0, 2), (0, 3))) == 0
+    assert det_int(((-7,),)) == -7
 
 
 def test_make_zd_rejects_singular():
