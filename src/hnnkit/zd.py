@@ -283,12 +283,12 @@ def has_root_of_unity_eigenvalue(M) -> Optional[int]:
     singular; the powers are built one multiplication at a time."""
     M = as_matrix(M)
     d = len(M)
-    I = identity_matrix(d)
+    ident = identity_matrix(d)
     candidates = cyclotomic_order_candidates(d)
-    P = I
+    P = ident
     for k in range(1, candidates[-1] + 1):
         P = mat_mul(P, M)
-        if k in candidates and det_int(mat_sub(P, I)) == 0:
+        if k in candidates and det_int(mat_sub(P, ident)) == 0:
             return k
     return None
 

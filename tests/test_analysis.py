@@ -34,7 +34,6 @@ from hnnkit import (
     symdiff_ratio,
     thm1_hypothesis_bs,
 )
-from hnnkit import analysis
 from hnnkit.analysis import generator_letter_words, verify_finite_class
 
 
@@ -461,8 +460,8 @@ def test_escape_stops_early_with_the_same_answer():
     for m, n in groups:
         oracle = make_bs(m, n)
         for _ in range(40):
-            words = []
-            while len(words) < rng.randint(1, 3):
+            words, size = [], rng.randint(1, 3)
+            while len(words) < size:
                 tail = tuple((rng.choice((1, -1)), rng.randint(-9, 9)) for _ in range(rng.randint(0, 3)))
                 w = HnnWord(oracle, rng.choice((0, 1, -5, 7, 36, m * n, 2**9 * 3**7)), tail)
                 if not equals(w, identity_word(oracle)):
@@ -472,20 +471,6 @@ def test_escape_stops_early_with_the_same_answer():
             assert got == escape_outcome(reference_escape_exponent, words, n_max), (m, n, words, n_max)
             outcomes.add(type(got))
     assert outcomes == {int, tuple}
-
-
-def test_escape_final_run_returns_before_n_max(bs23, monkeypatch):
-    calls = []
-    real = analysis.mul
-
-    def counted(u, v):
-        calls.append(1)
-        return real(u, v)
-
-    monkeypatch.setattr(analysis, "mul", counted)
-    words = [base_word(bs23, 3), stable_word(bs23)]
-    assert escape_exponent(words, 10**7) == 2
-    assert len(calls) <= 8
 
 
 def test_escape_rejects_trivial(bs23):

@@ -177,14 +177,6 @@ def test_root_of_unity_matches_the_cyclotomic_route(dim):
     assert None in found and len(found) > 1
 
 
-def test_det_int_of_singular_and_swapped_matrices():
-    assert det_int(((0, 1), (1, 0))) == -1
-    assert det_int(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
-    assert det_int(((1, 2, 3), (2, 4, 6), (0, 0, 1))) == 0
-    assert det_int(((0, 2), (0, 3))) == 0
-    assert det_int(((-7,),)) == -7
-
-
 def test_make_zd_rejects_singular():
     with pytest.raises(ValueError):
         make_zd([[1, 2], [2, 4]])
