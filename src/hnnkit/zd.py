@@ -80,7 +80,7 @@ def mat_sub(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
 
 
 def _echelon(A) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon form of an integer matrix by Bareiss
+    """Row echelon form of an integer matrix by fraction-free Bareiss
     elimination, skipping a column that has no pivot: the rows, the pivot
     column of each leading row, and the sign of the row swaps.  Once r
     pivots are placed, every entry of the rows below them is an (r+1)-minor
