@@ -64,6 +64,7 @@ from hnnkit import (
     tree_dot,
     unbounded_fixed_witness_bs,
 )
+from hnnkit.analysis import verify_finite_class
 from hnnkit.bs import BsOracle, BsParams
 from hnnkit.zd import det_int
 
@@ -145,6 +146,24 @@ def _witness_family(m: int, n: int):
     return gamma, [family(l) for l in range(8)]
 
 
+def _finite_class_sets(oracle, words: list[HnnWord]) -> list[tuple[HnnWord, ...]]:
+    """Candidate sets for ``verify_finite_class``: empty, holding the
+    identity, the stable letter (which conjugation by the stable letter
+    fixes), single words, radius-1 orbits and, when the group is not ICC,
+    its witness class as written and unreduced, alone and with a word added.
+    Each set is closed exactly when its words make up finite classes."""
+    e = oracle.identity
+    sets = [(), (HnnWord(oracle, e, ((1, e), (-1, e))), words[0]), (HnnWord(oracle, e, ((1, e),)),)]
+    for w in words[:3]:
+        sets.append((w,))
+        sets.append(tuple(nf.word for nf in orbit_sample(w, 1)))
+    if isinstance(oracle, BsOracle) and abs(oracle.params.m) == abs(oracle.params.n):
+        witness = icc_decide_bs(oracle.params.m, oracle.params.n).witness
+        written = tuple(HnnWord(oracle, w.head, ((1, e), (-1, e))) for w in witness)
+        sets += [witness, written + witness, witness + (words[0],)]
+    return sets
+
+
 def _oracle_records(name: str, oracle, add) -> None:
     rng = random.Random(f"{SEED}:{name}")
     for text in _random_texts(oracle, rng, 20):
@@ -160,6 +179,10 @@ def _oracle_records(name: str, oracle, add) -> None:
         add("delta", outcome(delta, w, 3))
         if i % 3 == 0:
             add("orbit_sample", outcome(orbit_sample, w, 2))
+            for r in range(5):
+                add("orbit_sample r0-4", outcome(orbit_sample, w, r))
+    for candidate in _finite_class_sets(oracle, words):
+        add("verify_finite_class", outcome(verify_finite_class, oracle, candidate))
     for r in range(4):
         add("ball", outcome(ball, oracle, r))
     steps = [(rep, 1) for rep in oracle.h_transversal()] + [(rep, -1) for rep in oracle.k_transversal()]
