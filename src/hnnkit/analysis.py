@@ -19,12 +19,13 @@ from .calculus import (
     HnnWord,
     NormalForm,
     VerificationError,
+    _nf_lmul_letter,
+    _nf_rmul_letter,
     _phi_iterates,
     _reduced_word,
     _seam,
     base_word,
     britton_reduce,
-    conjugate,
     format_word,
     identity_word,
     inv,
@@ -98,17 +99,32 @@ def generator_letter_words(oracle: BaseOracle) -> list[HnnWord]:
     return words
 
 
+def _letter_conjugations(oracle: BaseOracle) -> list[tuple[HnnWord, tuple, tuple]]:
+    """``(l, letter, inverse)`` for each word l of
+    :func:`generator_letter_words`, with l and l^-1 as the ``(sign, x)``
+    letters of :func:`calculus._nf_lmul_letter`, so that the normal form of
+    l w l^-1 is ``_nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter,
+    nf), inverse)``.  The words come in inverse pairs."""
+    gens = generator_letter_words(oracle)
+    letters = [g.tail[0] if g.tail else (0, g.head) for g in gens]
+    return [(g, letter, letters[i ^ 1]) for i, (g, letter) in enumerate(zip(gens, letters))]
+
+
 def verify_finite_class(oracle: BaseOracle, words: Sequence[HnnWord]) -> None:
     """Check that ``words`` is a nonempty identity-free set closed under
-    conjugation by every group generator; raises VerificationError."""
+    conjugation by every group generator; raises VerificationError.
+
+    Each word is normalized once; its conjugates by the generator letters
+    are normal forms made from its own by one letter on each side.
+    """
     if not words:
         raise VerificationError("witness set is empty")
     keys = {normalize(w).key() for w in words}
     if normalize(identity_word(oracle)).key() in keys:
         raise VerificationError("witness set contains the identity")
-    for gen in generator_letter_words(oracle):
-        for w in words:
-            if normalize(conjugate(gen, w)).key() not in keys:
+    for gen, letter, inverse in _letter_conjugations(oracle):
+        for nf in keys:
+            if _nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter, nf), inverse) not in keys:
                 raise VerificationError(
                     f"witness set is not closed under conjugation by {format_word(gen)}"
                 )
@@ -182,47 +198,51 @@ def thm1_hypothesis_bs(m: int, n: int, j_max: int) -> bool:
     return result
 
 
+# orbit_sample refuses an orbit of more distinct normal forms
+_ORBIT_LIMIT = 10**5
+
+
 def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
     """Normal forms of g x g^-1 over all g in the generator ball of the given
     radius, deduplicated, sorted by canonical serialization.
 
-    The orbit is built by a BFS over distinct conjugates, starting from the
-    reduced ``x``.  The ball B_r of generator words is B_{r-1} together with
-    l B_{r-1} for the one-letter words l, so the conjugates C_r add to
-    C_{r-1} only the l c l^-1 with c first reached at radius r - 1: layer r
-    conjugates the previous layer's new elements by every letter, with two
-    seam products each.  ``seen`` holds the reduced ``(head, tail)`` pairs
-    already met, so that a repeated pair is not normalized again; a pair it
-    lets through is normalized, and joins the next layer only when its
-    normal form is new.  The BFS stops after ``radius`` layers or when a
-    layer adds nothing.
+    The orbit is built by a BFS over normal forms, starting from that of
+    ``x``, the one normal form built in full.  The ball B_r of generator
+    words is B_{r-1} together with l B_{r-1} for the one-letter words l, so
+    the conjugates C_r add to C_{r-1} only the l c l^-1 with c first
+    reached at radius r - 1.  Normal forms are unique (Britton's lemma), so
+    l c l^-1 is made from the normal form of c by one letter on the left
+    and one on the right, and one set of ``(head, tail)`` keys both
+    deduplicates and decides which conjugates join the next layer.  The BFS
+    stops after ``radius`` layers or when a layer adds nothing, and raises
+    ``ValueError`` once the orbit holds more than ``_ORBIT_LIMIT`` normal
+    forms.  Each element is formatted once, for the sort; ``str`` of it
+    returns that text again.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     oracle = x.oracle
-    gens = generator_letter_words(oracle)
-    steps = [((g.head, g.tail), (h.head, h.tail)) for g, h in zip(gens, map(inv, gens))]
-    r = britton_reduce(x)
-    nf = normalize(r)
-    found = {nf.key(): nf}
-    frontier = [(r.head, r.tail)]
+    steps = [(letter, inverse) for _, letter, inverse in _letter_conjugations(oracle)]
+    frontier = [normalize(x).key()]
     seen = set(frontier)
     for _ in range(radius):
         layer = []
         for c in frontier:
-            for left, right in steps:
-                d = _seam(oracle, *_seam(oracle, *left, *c), *right)
-                if d in seen:
-                    continue
-                seen.add(d)
-                nf = normalize(_reduced_word(oracle, *d))
-                if nf.key() not in found:
-                    found[nf.key()] = nf
+            for letter, inverse in steps:
+                d = _nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter, c), inverse)
+                if d not in seen:
+                    seen.add(d)
                     layer.append(d)
+                    if len(seen) > _ORBIT_LIMIT:
+                        raise ValueError(
+                            f"the orbit within radius {radius} holds more than"
+                            f" {_ORBIT_LIMIT} normal forms"
+                        )
         if not layer:
             break
         frontier = layer
-    return tuple(sorted(found.values(), key=lambda nf: format_word(nf.word)))
+    orbit = (NormalForm(_reduced_word(oracle, *key)) for key in seen)
+    return tuple(sorted(orbit, key=str))
 
 
 @dataclass(frozen=True)

@@ -245,11 +245,16 @@ class NormalForm:
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The :func:`format_word` text of the word, made on first use."""
         return format_word(self.word)
 
+    def __str__(self) -> str:
+        return self.text
+
     def __repr__(self) -> str:
-        return f"NormalForm({format_word(self.word)!r})"
+        return f"NormalForm({self.text!r})"
 
 
 def identity_word(oracle: BaseOracle) -> HnnWord:
@@ -321,6 +326,58 @@ def _split(oracle: BaseOracle, sign: int, x, next_sign: int):
     if sign == -next_sign and oracle.is_identity(rep):
         raise VerificationError("pinch re-created during canonicalization")
     return carry, rep
+
+
+def _nf_lmul_letter(oracle: BaseOracle, letter: tuple[int, Any], nf: tuple) -> tuple:
+    """The normal form ``(head, tail)`` of ``letter * w`` for a normal form
+    ``nf = (head, tail)`` of w.  ``letter`` is ``(sign, x)``: the stable
+    letter t^sign when sign is +-1, the base element x when sign is 0.
+
+    Only the front changes.  A base letter multiplies the head.  A stable
+    letter either cancels against the first stable letter, when
+    ``t^sign head t^s1`` is a pinch, and its value joins the first
+    syllable's representative as the new head, or it splits the head into
+    a carry, the new head, and a representative in front of the tail.
+    """
+    sign, x = letter
+    head, tail = nf
+    if not sign:
+        return oracle.mul(x, head), tail
+    if tail:
+        y = _unpinch(oracle, sign, head, tail[0][0])
+        if y is not None:
+            return oracle.mul(y, tail[0][1]), tail[1:]
+    carry, rep = _split(oracle, sign, head, tail[0][0] if tail else 0)
+    return carry, ((sign, rep),) + tail
+
+
+def _nf_rmul_letter(oracle: BaseOracle, nf: tuple, letter: tuple[int, Any]) -> tuple:
+    """The normal form ``(head, tail)`` of ``w * letter``, with ``nf`` and
+    ``letter`` as for :func:`_nf_lmul_letter`.
+
+    A stable letter cancels the last one when they form a pinch (a
+    representative lies in its subgroup only when it is the identity, so
+    that is when the last representative is the identity) and is appended
+    otherwise.  A base letter joins the last syllable and starts the
+    right-to-left carry of :func:`normalize`, which stops at the first
+    identity carry: the syllables to its left are representatives already.
+    """
+    sign, x = letter
+    head, tail = nf
+    if sign:
+        if tail and tail[-1][0] == -sign and oracle.is_identity(tail[-1][1]):
+            return head, tail[:-1]
+        return head, tail + ((sign, oracle.identity),)
+    pairs = list(tail)
+    carry, next_sign = x, 0
+    for j in range(len(pairs) - 1, -1, -1):
+        s, elem = pairs[j]
+        carry, rep = _split(oracle, s, oracle.mul(elem, carry), next_sign)
+        pairs[j] = (s, rep)
+        if oracle.is_identity(carry):
+            return head, tuple(pairs)
+        next_sign = s
+    return oracle.mul(head, carry), tuple(pairs)
 
 
 def _reduce(oracle: BaseOracle, head, tail):

@@ -1,8 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import golden_corpus
+from hnnkit import analysis, calculus, cli
 from hnnkit import (
     DomainError,
     EMPIRICAL,
@@ -35,6 +40,7 @@ from hnnkit import (
     thm1_hypothesis_bs,
 )
 from hnnkit.analysis import generator_letter_words, verify_finite_class
+from hnnkit.calculus import _nf_lmul_letter, _nf_rmul_letter
 
 
 def reference_spheres(oracle, radius):
@@ -247,11 +253,89 @@ def test_orbit_sample_matches_reference_bs(mn):
 
 
 def test_orbit_sample_matches_reference_zd(zd_fib):
-    for text in ["e1", "t t^-1 e2", "t^-1 e1 t", "e1 t e2^-1", "t e1 t^-1 e2"]:
-        x = parse_word(zd_fib, text)
-        for radius in range(5):
-            got = [str(nf) for nf in orbit_sample(x, radius)]
-            assert got == reference_orbit_sample(x, radius), (text, radius)
+    # and the golden corpus's other matrices, with K of index 4 and 3
+    for oracle in (zd_fib, make_zd([[2, 0], [0, 2]]), make_zd([[1, 1], [-1, 2]])):
+        for text in ["e1", "t t^-1 e2", "t^-1 e1 t", "e1 t e2^-1", "t e1 t^-1 e2"]:
+            x = parse_word(oracle, text)
+            for radius in range(5):
+                got = [str(nf) for nf in orbit_sample(x, radius)]
+                assert got == reference_orbit_sample(x, radius), (oracle.matrix, text, radius)
+
+
+def letter_of(word):
+    """The ``(sign, x)`` letter of a one-letter word: t^sign, or the base
+    element x with sign 0."""
+    return word.tail[0] if word.tail else (0, word.head)
+
+
+@st.composite
+def golden_normal_forms(draw):
+    """A golden-corpus oracle and the normal form of a product of up to ten
+    generator letters and powers b^2, b^-5 of the base generators."""
+    _, oracle = draw(st.sampled_from(golden_corpus.oracles()))
+    gens = generator_letter_words(oracle)
+    letters = gens + [
+        base_word(oracle, oracle.power(g.head, k)) for g in gens[2:] for k in (2, -5)
+    ]
+    return oracle, normalize(raw_word(oracle, draw(st.lists(st.sampled_from(letters), max_size=10))))
+
+
+@given(golden_normal_forms())
+@settings(max_examples=300, deadline=None)
+def test_one_letter_products_of_normal_forms_match_normalize(case):
+    oracle, w = case
+    for gen in generator_letter_words(oracle):
+        left = _nf_lmul_letter(oracle, letter_of(gen), w.key())
+        assert left == normalize(mul(gen, w.word)).key(), (str(gen), str(w))
+        right = _nf_rmul_letter(oracle, w.key(), letter_of(gen))
+        assert right == normalize(mul(w.word, gen)).key(), (str(w), str(gen))
+
+
+def test_orbit_sample_normalizes_once_and_formats_each_element_once(bs23, monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    wrapped = {name: counted(name, getattr(calculus, name)) for name in ("normalize", "format_word")}
+    for mod in (calculus, analysis):
+        for name, fn in wrapped.items():
+            monkeypatch.setattr(mod, name, fn)
+    for oracle, text in [(bs23, "b"), (bs23, "a b^-1 a^-1 b^2"), (make_zd([[2, 0], [0, 2]]), "e1 t")]:
+        counts.clear()
+        orbit = orbit_sample(parse_word(oracle, text), 4)
+        assert counts["normalize"] == 1, text
+        strings = [str(nf) for nf in orbit] + [repr(nf) for nf in orbit]
+        assert counts["format_word"] == len(orbit) > 20 and len(strings) == 2 * len(orbit), text
+
+
+def test_orbit_sample_refuses_more_than_the_limit(bs23, monkeypatch, capsys):
+    x = parse_word(bs23, "b")
+    # BS(2,3) b: 118 normal forms at radius 5, 282 at radius 6
+    monkeypatch.setattr(analysis, "_ORBIT_LIMIT", 200)
+    assert len(orbit_sample(x, 5)) == 118
+    calls = []
+
+    def lmul(*args):
+        calls.append(args)
+        return _nf_lmul_letter(*args)
+
+    monkeypatch.setattr(analysis, "_nf_lmul_letter", lmul)
+    for radius in (6, 10**9):
+        calls.clear()
+        with pytest.raises(ValueError, match=f"radius {radius} holds more than 200 normal forms"):
+            orbit_sample(x, radius)
+        # each element is conjugated by the four letters at most once
+        assert len(calls) <= 4 * 201
+    with pytest.raises(ValueError, match="more than 200"):
+        icc_probe_orbit(x, radii=(2, 6))
+    code = cli.main(["--m", "2", "--n", "3", "orbit", "b", "--radius", "6"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 SYMDIFF_LETTERS = ["a", "a^-1", "b", "b^-1", "b^2", "b^-3", "b^4"]

@@ -146,6 +146,31 @@ def test_zd_eliminates_in_integers_only():
     assert found == []
 
 
+def test_orbit_conjugates_normal_forms_by_one_letter():
+    # orbit_sample and verify_finite_class make each conjugate from a normal
+    # form by one letter on each side: their loops build no product, inverse
+    # or normal form from scratch, and orbit_sample keeps one set
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["analysis.py"]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"normalize", "conjugate", "mul", "inv", "_seam", "britton_reduce"}
+    found = [
+        f"analysis.py:{node.lineno} {name}"
+        for name in ("orbit_sample", "verify_finite_class")
+        for loop in ast.walk(funcs[name])
+        if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in banned
+    ]
+    assert found == []
+    sets = [
+        node
+        for node in ast.walk(funcs["orbit_sample"])
+        if isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "dict")
+    ]
+    assert len(sets) == 1
+
+
 def test_one_size_check_for_the_tree_walks():
     # ball and fixed_subtree are one class walk, refused by one check
     names = ("_BALL_LIMIT", "_STEP_LIMIT")
