@@ -101,10 +101,8 @@ def generator_letter_words(oracle: BaseOracle) -> list[HnnWord]:
 
 def _letter_conjugations(oracle: BaseOracle) -> list[tuple[HnnWord, tuple, tuple]]:
     """``(l, letter, inverse)`` for each word l of
-    :func:`generator_letter_words`, with l and l^-1 as the ``(sign, x)``
-    letters of :func:`calculus._nf_lmul_letter`, so that the normal form of
-    l w l^-1 is ``_nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter,
-    nf), inverse)``.  The words come in inverse pairs."""
+    :func:`generator_letter_words` (which come in inverse pairs), with l and
+    l^-1 as the ``(sign, x)`` letters of the calculus's ``_nf_*_letter``."""
     gens = generator_letter_words(oracle)
     letters = [g.tail[0] if g.tail else (0, g.head) for g in gens]
     return [(g, letter, letters[i ^ 1]) for i, (g, letter) in enumerate(zip(gens, letters))]
@@ -112,11 +110,9 @@ def _letter_conjugations(oracle: BaseOracle) -> list[tuple[HnnWord, tuple, tuple
 
 def verify_finite_class(oracle: BaseOracle, words: Sequence[HnnWord]) -> None:
     """Check that ``words`` is a nonempty identity-free set closed under
-    conjugation by every group generator; raises VerificationError.
-
-    Each word is normalized once; its conjugates by the generator letters
-    are normal forms made from its own by one letter on each side.
-    """
+    conjugation by every group generator; raises VerificationError.  Each
+    word is normalized once, and its conjugates are made from its normal
+    form by one letter on each side."""
     if not words:
         raise VerificationError("witness set is empty")
     keys = {normalize(w).key() for w in words}
@@ -206,18 +202,16 @@ def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
     """Normal forms of g x g^-1 over all g in the generator ball of the given
     radius, deduplicated, sorted by canonical serialization.
 
-    The orbit is built by a BFS over normal forms, starting from that of
-    ``x``, the one normal form built in full.  The ball B_r of generator
-    words is B_{r-1} together with l B_{r-1} for the one-letter words l, so
-    the conjugates C_r add to C_{r-1} only the l c l^-1 with c first
-    reached at radius r - 1.  Normal forms are unique (Britton's lemma), so
-    l c l^-1 is made from the normal form of c by one letter on the left
-    and one on the right, and one set of ``(head, tail)`` keys both
-    deduplicates and decides which conjugates join the next layer.  The BFS
-    stops after ``radius`` layers or when a layer adds nothing, and raises
+    The orbit is built by a BFS over normal forms from that of ``x``, the
+    one normal form built in full.  The ball B_r of generator words is
+    B_{r-1} together with l B_{r-1} for the one-letter words l, so the
+    conjugates C_r add to C_{r-1} only the l c l^-1 with c first reached at
+    radius r - 1.  Normal forms are unique (Britton's lemma), so l c l^-1 is
+    made from the normal form of c by one letter on each side, and one set
+    of ``(head, tail)`` keys tells which are new.  The BFS stops after
+    ``radius`` layers or when a layer adds nothing, and raises
     ``ValueError`` once the orbit holds more than ``_ORBIT_LIMIT`` normal
-    forms.  Each element is formatted once, for the sort; ``str`` of it
-    returns that text again.
+    forms.  Each element is formatted once, for the sort, and keeps its text.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")

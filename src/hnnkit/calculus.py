@@ -28,7 +28,9 @@ The sign convention of Britton's rule, t^-1 h t = phi(h) for h in H and
 t k t^-1 = phi^-1(k) for k in K, is written out once: ``_is_pinch`` tests
 membership, ``_unpinch`` also applies phi or phi^-1, and ``_split`` is the
 carry step of a normal form, which splits a syllable by its coset and maps
-the subgroup part across the stable letter.
+the subgroup part across the stable letter.  ``_nf_lmul_letter`` and
+``_nf_rmul_letter``, built on these two, turn a normal form into that of its
+product with one letter.
 
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
@@ -329,16 +331,11 @@ def _split(oracle: BaseOracle, sign: int, x, next_sign: int):
 
 
 def _nf_lmul_letter(oracle: BaseOracle, letter: tuple[int, Any], nf: tuple) -> tuple:
-    """The normal form ``(head, tail)`` of ``letter * w`` for a normal form
-    ``nf = (head, tail)`` of w.  ``letter`` is ``(sign, x)``: the stable
-    letter t^sign when sign is +-1, the base element x when sign is 0.
-
-    Only the front changes.  A base letter multiplies the head.  A stable
-    letter either cancels against the first stable letter, when
-    ``t^sign head t^s1`` is a pinch, and its value joins the first
-    syllable's representative as the new head, or it splits the head into
-    a carry, the new head, and a representative in front of the tail.
-    """
+    """The normal form ``(head, tail)`` of ``letter * w`` for the normal form
+    ``nf`` of w; ``letter`` is ``(sign, x)``, the stable letter t^sign for
+    sign +-1 and the base element x for sign 0.  Only the front changes: a
+    stable letter cancels the first one when they pinch around the head,
+    and splits the head into a carry and a representative otherwise."""
     sign, x = letter
     head, tail = nf
     if not sign:
@@ -352,16 +349,11 @@ def _nf_lmul_letter(oracle: BaseOracle, letter: tuple[int, Any], nf: tuple) -> t
 
 
 def _nf_rmul_letter(oracle: BaseOracle, nf: tuple, letter: tuple[int, Any]) -> tuple:
-    """The normal form ``(head, tail)`` of ``w * letter``, with ``nf`` and
-    ``letter`` as for :func:`_nf_lmul_letter`.
-
-    A stable letter cancels the last one when they form a pinch (a
-    representative lies in its subgroup only when it is the identity, so
-    that is when the last representative is the identity) and is appended
-    otherwise.  A base letter joins the last syllable and starts the
-    right-to-left carry of :func:`normalize`, which stops at the first
-    identity carry: the syllables to its left are representatives already.
-    """
+    """The normal form of ``w * letter``, as for :func:`_nf_lmul_letter`.  A
+    stable letter cancels the last one when they pinch, which for a
+    representative means it is the identity, and is appended otherwise; a
+    base letter starts the carry of :func:`normalize`, which stops at the
+    first identity carry."""
     sign, x = letter
     head, tail = nf
     if sign:
