@@ -308,8 +308,9 @@ def test_orbit_sample_normalizes_once_and_formats_each_element_once(bs23, monkey
         counts.clear()
         orbit = orbit_sample(parse_word(oracle, text), 4)
         assert counts["normalize"] == 1, text
-        strings = [str(nf) for nf in orbit] + [repr(nf) for nf in orbit]
-        assert counts["format_word"] == len(orbit) > 20 and len(strings) == 2 * len(orbit), text
+        for nf in orbit:
+            str(nf), repr(nf)
+        assert counts["format_word"] == len(orbit) > 20, text
 
 
 def test_orbit_sample_refuses_more_than_the_limit(bs23, monkeypatch, capsys):
