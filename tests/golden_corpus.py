@@ -49,6 +49,7 @@ from hnnkit import (
     has_root_of_unity_eigenvalue,
     icc_decide_bs,
     icc_decide_zd,
+    icc_probe_orbit,
     integer_fixed_vector,
     make_bs,
     make_zd,
@@ -64,6 +65,7 @@ from hnnkit import (
     tree_dot,
     unbounded_fixed_witness_bs,
 )
+from hnnkit import analysis
 from hnnkit.analysis import verify_finite_class
 from hnnkit.bs import BsOracle, BsParams
 from hnnkit.zd import det_int
@@ -73,6 +75,11 @@ SEED = 20261018
 
 BS_GROUPS = [(2, 3), (3, 2), (2, -2), (2, 2), (1, 2), (1, -1), (-3, 4), (4, 2), (2, 4), (1, 5)]
 ZD_MATRICES = [((2, 0), (0, 2)), ((1, 1), (-1, 2)), ((2, 1), (1, 1))]
+# radii for icc_probe_orbit: unsorted, repeated, zero, none, negative; the
+# second list runs under an orbit limit of PROBE_LIMIT normal forms
+PROBE_RADII = [(2, 0, 1), (1, 3, 1, 3), (0,), (), (2, -1, 3), (-2, 1)]
+LIMITED_PROBE_RADII = [(1, 3, 2, -1), (3, 0), (-1, 4), (2, 2)]
+PROBE_LIMIT = 20
 
 
 class _DropsKRepresentative(BsOracle):
@@ -141,6 +148,14 @@ def _base_elements(oracle) -> list:
     return list(itertools.product(range(-1, 2), repeat=oracle.dim)) + [(2, 0), (0, 2), (8, -4), (6, 6)]
 
 
+def _limited_probe(x: HnnWord, radii: tuple):
+    saved, analysis._ORBIT_LIMIT = analysis._ORBIT_LIMIT, PROBE_LIMIT
+    try:
+        return icc_probe_orbit(x, radii)
+    finally:
+        analysis._ORBIT_LIMIT = saved
+
+
 def _witness_family(m: int, n: int):
     gamma, family = unbounded_fixed_witness_bs(m, n)
     return gamma, [family(l) for l in range(8)]
@@ -181,6 +196,10 @@ def _oracle_records(name: str, oracle, add) -> None:
             add("orbit_sample", outcome(orbit_sample, w, 2))
             for r in range(5):
                 add("orbit_sample r0-4", outcome(orbit_sample, w, r))
+            for radii in PROBE_RADII:
+                add("icc_probe_orbit", outcome(icc_probe_orbit, w, radii))
+            for radii in LIMITED_PROBE_RADII:
+                add(f"icc_probe_orbit limit {PROBE_LIMIT}", outcome(_limited_probe, w, radii))
     for candidate in _finite_class_sets(oracle, words):
         add("verify_finite_class", outcome(verify_finite_class, oracle, candidate))
     for r in range(4):
