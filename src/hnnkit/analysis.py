@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .calculus import (
     BaseOracle,
@@ -165,9 +166,22 @@ def icc_decide_zd(matrix) -> IccVerdict:
 
 
 def icc_probe_orbit(x: HnnWord, radii: Sequence[int] = (2, 4, 6)) -> IccVerdict:
-    """Orbit-growth evidence for a single element; never a decision."""
-    evidence = tuple((r, len(orbit_sample(x, r))) for r in radii)
-    return IccVerdict(EMPIRICAL, evidence=evidence)
+    """Orbit-growth evidence for a single element; never a decision.  Each
+    radius gets the size of its :func:`orbit_sample`, read off one BFS run
+    only as far as the radii need (it stops early once the orbit is
+    complete); the first radius refused, in the order given, raises."""
+    layers = map(len, _orbit_layers(x))
+    sizes: list[int] = []
+    evidence = []
+    for r in radii:
+        if r < 0:
+            raise ValueError("radius must be nonnegative")
+        sizes += islice(layers, max(r + 1 - len(sizes), 0))
+        size = sizes[min(r, len(sizes) - 1)]
+        if size > _ORBIT_LIMIT:
+            raise _orbit_refusal(r)
+        evidence.append((r, size))
+    return IccVerdict(EMPIRICAL, evidence=tuple(evidence))
 
 
 def thm1_hypothesis_bs(m: int, n: int, j_max: int) -> bool:
@@ -200,26 +214,35 @@ _ORBIT_LIMIT = 10**5
 
 def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
     """Normal forms of g x g^-1 over all g in the generator ball of the given
-    radius, deduplicated, sorted by canonical serialization.
-
-    The orbit is built by a BFS over normal forms from that of ``x``, the
-    one normal form built in full.  The ball B_r of generator words is
-    B_{r-1} together with l B_{r-1} for the one-letter words l, so the
-    conjugates C_r add to C_{r-1} only the l c l^-1 with c first reached at
-    radius r - 1.  Normal forms are unique (Britton's lemma), so l c l^-1 is
-    made from the normal form of c by one letter on each side, and one set
-    of ``(head, tail)`` keys tells which are new.  The BFS stops after
-    ``radius`` layers or when a layer adds nothing, and raises
-    ``ValueError`` once the orbit holds more than ``_ORBIT_LIMIT`` normal
-    forms.  Each element is formatted once, for the sort, and keeps its text.
-    """
+    radius, deduplicated, sorted by canonical serialization: the set of
+    :func:`_orbit_layers` after ``radius`` layers.  More than
+    ``_ORBIT_LIMIT`` normal forms raise ``ValueError``.  Each element is
+    formatted once, for the sort, and keeps its text."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    *_, seen = islice(_orbit_layers(x), radius + 1)
+    if len(seen) > _ORBIT_LIMIT:
+        raise _orbit_refusal(radius)
+    orbit = (NormalForm(_reduced_word(x.oracle, *key)) for key in seen)
+    return tuple(sorted(orbit, key=str))
+
+
+def _orbit_layers(x: HnnWord) -> Iterator[set]:
+    """A BFS over the normal forms of the conjugates of ``x``: one set of
+    ``(head, tail)`` keys, yielded once it holds those within radius 0, 1,
+    2, ...  The generator ball B_r is B_{r-1} and l B_{r-1} for the
+    one-letter words l, so radius r adds only the l c l^-1 with c first
+    reached at radius r - 1.  Normal forms are unique (Britton's lemma), so
+    l c l^-1 is made from that of c by one letter on each side; only ``x``
+    is normalized in full.  The BFS stops after a layer that adds nothing,
+    and cuts short the layer that takes the set past ``_ORBIT_LIMIT``,
+    which it yields last."""
     oracle = x.oracle
     steps = [(letter, inverse) for _, letter, inverse in _letter_conjugations(oracle)]
     frontier = [normalize(x).key()]
     seen = set(frontier)
-    for _ in range(radius):
+    while frontier:
+        yield seen
         layer = []
         for c in frontier:
             for letter, inverse in steps:
@@ -228,15 +251,15 @@ def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
                     seen.add(d)
                     layer.append(d)
                     if len(seen) > _ORBIT_LIMIT:
-                        raise ValueError(
-                            f"the orbit within radius {radius} holds more than"
-                            f" {_ORBIT_LIMIT} normal forms"
-                        )
-        if not layer:
-            break
+                        yield seen
+                        return
         frontier = layer
-    orbit = (NormalForm(_reduced_word(oracle, *key)) for key in seen)
-    return tuple(sorted(orbit, key=str))
+
+
+def _orbit_refusal(radius: int) -> ValueError:
+    return ValueError(
+        f"the orbit within radius {radius} holds more than {_ORBIT_LIMIT} normal forms"
+    )
 
 
 @dataclass(frozen=True)

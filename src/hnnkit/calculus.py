@@ -30,7 +30,8 @@ membership, ``_unpinch`` also applies phi or phi^-1, and ``_split`` is the
 carry step of a normal form, which splits a syllable by its coset and maps
 the subgroup part across the stable letter.  ``_nf_lmul_letter`` and
 ``_nf_rmul_letter``, built on these two, turn a normal form into that of its
-product with one letter.
+product with one letter; :func:`cyclic_reduce` builds its rotations, and
+:mod:`hnnkit.analysis` its conjugacy orbits, by them.
 
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
@@ -42,7 +43,6 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Any, Iterable, Iterator, Optional
 
 __all__ = [
@@ -515,12 +515,12 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     core is canonical for a given input word.
 
     Cost: the core's n rotations are all pinch-free once its one wrap join
-    is checked.  Their normal forms are built from one another: each
-    rotation reruns the right-to-left carry of :func:`normalize` only until
-    the carry into a syllable equals the one already stored there, and is
-    compared with the best so far only up to the first differing character.
-    That is O(n) when carries coalesce within a bounded distance and O(n^2)
-    at worst.
+    is checked.  The first is normalized in full and each other one is
+    conjugated from the one before by a syllable, four one-letter products
+    (see :func:`_least_rotation`); each is compared with the best so far
+    only up to the first differing character.  The right product by a base
+    letter carries until its first identity carry, so the scan is O(n) when
+    carries die out within a bounded distance and O(n^2) at worst.
     """
     oracle = w.oracle
     c = britton_reduce(w)
@@ -543,67 +543,42 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     # least normal form among the syllable rotations
     g = mul(g, base_word(oracle, c.head))
     syllables = c.tail[:-1] + ((c.tail[-1][0], oracle.mul(c.tail[-1][1], c.head)),)
-    k, head, pairs = _least_rotation(oracle, syllables)
-    core = _reduced_word(oracle, head, tuple(pairs[k:] + pairs[:k]))
+    k, head, tail = _least_rotation(oracle, syllables)
+    core = _reduced_word(oracle, head, tail)
     # a proper prefix of the pinch-free tail of c
     conj = mul(g, _reduced_word(oracle, oracle.identity, syllables[:k]))
     return core, conj
 
 
-def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, list]:
-    """``(k, head, pairs)`` for the rotation ``syllables[k:] + syllables[:k]``
-    whose normal form has the least :func:`format_word` text (the least k
-    on a tie).  The normal form is ``head`` followed by
-    ``pairs[k:] + pairs[:k]``.
+def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, tuple]:
+    """``(k, head, tail)`` for the rotation ``syllables[k:] + syllables[:k]``
+    whose normal form ``(head, tail)`` has the least :func:`format_word`
+    text (the least k on a tie).
 
-    Rotation 0 is normalized in full, then rotations n-1, ..., 1, each from
-    the one before.  Rotation k runs its carry from syllable k-1 down to
-    k+1, cyclically, starting from the identity; once the carry into a
-    syllable equals the one stored there, the rest of the pass is as in
-    rotation k+1, whose head is then the carry into syllable k.
+    Rotation 0 is normalized in full, then rotations n-1, ..., 1, each
+    conjugated from the one before by its first syllable t^s lam:
+    rotation k + 1 times lam^-1 t^-s is rotation k less that syllable, and
+    t^s lam times that is rotation k.  So each rotation is two letters of
+    :func:`_nf_rmul_letter` and two of :func:`_nf_lmul_letter` from the
+    last one; the carry of lam^-1 stops at its first identity carry.
     """
-    n = len(syllables)
-    signs = [s for s, _ in syllables]
     # every adjacency but the wrap join lies in the pinch-free core
-    if _is_pinch(oracle, signs[-1], syllables[-1][1], signs[0]):
+    if _is_pinch(oracle, syllables[-1][0], syllables[-1][1], syllables[0][0]):
         raise VerificationError("rotation of a cyclic core must stay reduced")
-    # nexts[i] is the sign of the syllable after i in a rotation that does
-    # not end at i; a one-syllable core follows itself, and t^s r t^s is
-    # never a pinch
-    nexts = signs[1:] + signs[:1]
-    unset = object()
-    carries = [unset] * n
-    pairs: list = [None] * n
-
-    def text(k, head, nf):
-        return _format_chunks(oracle, head, (nf[i] for i in chain(range(k, n), range(k))))
-
-    best = head = None
-    for k in range(n, 0, -1):
-        carry = oracle.identity
-        for step in range(n - 1):
-            i = (k - 1 - step) % n
-            if carries[i] == carry:
-                carry = head
-                break
-            carries[i] = carry
-            # step 0 is the rotation's last syllable: nothing follows it
-            carry, rep = _split(
-                oracle, signs[i], oracle.mul(syllables[i][1], carry), nexts[i] if step else 0
-            )
-            pairs[i] = (signs[i], rep)
-        k %= n
-        carries[k] = carry
-        head, rep = _split(oracle, signs[k], oracle.mul(syllables[k][1], carry), nexts[k])
-        pairs[k] = (signs[k], rep)
-        if best is None:
-            best = (k, head, list(pairs))
-            continue
-        order = _compare_text(text(k, head, pairs), text(*best))
+    e = oracle.identity
+    nf = normalize(_reduced_word(oracle, e, syllables)).key()
+    best = (0, *nf)
+    for k in range(len(syllables) - 1, 0, -1):
+        sign, lam = syllables[k]
+        nf = _nf_rmul_letter(oracle, nf, (0, oracle.inv(lam)))
+        nf = _nf_rmul_letter(oracle, nf, (-sign, e))
+        nf = _nf_lmul_letter(oracle, (0, lam), nf)
+        nf = _nf_lmul_letter(oracle, (sign, e), nf)
+        order = _compare_text(_format_chunks(oracle, *nf), _format_chunks(oracle, *best[1:]))
         # rotation 0 came first, then the k run down: a tie goes to k unless
         # the best is rotation 0
         if order < 0 or order == 0 and best[0]:
-            best = (k, head, list(pairs))
+            best = (k, *nf)
     return best
 
 

@@ -311,6 +311,11 @@ def test_orbit_sample_normalizes_once_and_formats_each_element_once(bs23, monkey
         for nf in orbit:
             str(nf), repr(nf)
         assert counts["format_word"] == len(orbit) > 20, text
+        # icc_probe_orbit: one BFS for all its radii, and no text for the
+        # elements it only counts
+        counts.clear()
+        evidence = icc_probe_orbit(parse_word(oracle, text), radii=(4, 2, 4)).evidence
+        assert counts == {"normalize": 1} and evidence[0] == evidence[2] == (4, len(orbit)), text
 
 
 def test_orbit_sample_refuses_more_than_the_limit(bs23, monkeypatch, capsys):

@@ -728,3 +728,39 @@ def test_cyclic_reduce_checks_recomputed_syllables(monkeypatch):
     for compute in (cyclic_reduce, normalize):
         with pytest.raises(VerificationError, match="pinch re-created"):
             compute(w)
+
+
+def _die_at_once_core(oracle):
+    # every syllable a coset representative: each carry is the identity
+    return parse_word(oracle, "a^-1 b " * 40)
+
+
+def _large_exponent_core(oracle):
+    # b-exponents to 10^30 prime to 6, so in neither H nor K: no pinch, and
+    # carries that phi scales by 3/2 and does not absorb
+    rng = random.Random(8)
+    tail = tuple(
+        (rng.choice((1, -1)), 6 * rng.randint(-10**29, 10**29) + rng.choice((1, 5))) for _ in range(60)
+    )
+    return HnnWord(oracle, 0, tail)
+
+
+@pytest.mark.parametrize("core, before", [(_die_at_once_core, 79), (_large_exponent_core, 3600)])
+def test_cyclic_reduce_split_count(monkeypatch, core, before):
+    # the rotation scan makes each rotation from the last one by one-letter
+    # products; ``before`` counts the _split calls of the scan that reran
+    # the carry until it met a stored one, and the products may add at most
+    # one call per rotation
+    oracle = make_bs(2, 3)
+    w = core(oracle)
+    calls = []
+    real = calculus._split
+
+    def split(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "_split", split)
+    n = len(cyclic_reduce(w)[0].tail)
+    assert n == len(w.tail)
+    assert len(calls) <= before + n - 1

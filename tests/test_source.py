@@ -113,6 +113,22 @@ def test_only_split_decomposes_on_the_left():
     assert found == []
 
 
+def test_only_the_normal_form_steps_carry():
+    # a right-to-left carry is run by normalize, or one letter at a time by
+    # _nf_lmul_letter and _nf_rmul_letter; the rotation scan of
+    # cyclic_reduce and the orbit BFS keep no carry of their own
+    allowed = {("calculus.py", name) for name in ("normalize", "_nf_lmul_letter", "_nf_rmul_letter")}
+    found = [
+        f"{path.name}:{node.lineno} {func.name}"
+        for path, tree in parsed_sources()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (path.name, func.name) not in allowed
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split"
+    ]
+    assert found == []
+
+
 def test_one_walk_moves_a_vertex():
     # the left-coset carry of a vertex label lives in tree._walk alone, and
     # the backtrack test of a step in _walk and the child-step table
@@ -147,15 +163,16 @@ def test_zd_eliminates_in_integers_only():
 
 
 def test_orbit_conjugates_normal_forms_by_one_letter():
-    # orbit_sample and verify_finite_class make each conjugate from a normal
-    # form by one letter on each side: their loops build no product, inverse
-    # or normal form from scratch, and orbit_sample keeps one set
+    # the orbit BFS of orbit_sample and icc_probe_orbit, and
+    # verify_finite_class, make each conjugate from a normal form by one
+    # letter on each side: their loops build no product, inverse or normal
+    # form from scratch, and the BFS keeps one set
     tree = dict((path.name, tree) for path, tree in parsed_sources())["analysis.py"]
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     banned = {"normalize", "conjugate", "mul", "inv", "_seam", "britton_reduce"}
     found = [
         f"analysis.py:{node.lineno} {name}"
-        for name in ("orbit_sample", "verify_finite_class")
+        for name in ("_orbit_layers", "verify_finite_class")
         for loop in ast.walk(funcs[name])
         if isinstance(loop, ast.For)
         for node in ast.walk(loop)
@@ -164,7 +181,7 @@ def test_orbit_conjugates_normal_forms_by_one_letter():
     assert found == []
     sets = [
         node
-        for node in ast.walk(funcs["orbit_sample"])
+        for node in ast.walk(funcs["_orbit_layers"])
         if isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))
         or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "dict")
     ]
