@@ -519,8 +519,9 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     conjugated from the one before by a syllable, four one-letter products
     (see :func:`_least_rotation`); each is compared with the best so far
     only up to the first differing character.  The right product by a base
-    letter carries until its first identity carry, so the scan is O(n) when
-    carries die out within a bounded distance and O(n^2) at worst.
+    letter carries until its first identity carry, so the scan makes O(n)
+    carry steps when carries die out within a bounded distance and O(n^2)
+    at worst; each rotation also copies its tail tuple a few times.
     """
     oracle = w.oracle
     c = britton_reduce(w)
