@@ -257,6 +257,65 @@ def _oracle_records(name: str, oracle, add) -> None:
         add("axes_overlap", outcome(axes_overlap, g, g, 6))
 
 
+def _formal_inverse(oracle, g: HnnWord) -> HnnWord:
+    """g^-1 letter by letter, unreduced."""
+    elems = [g.head] + [x for _, x in g.tail]
+    tail = tuple((-s, oracle.inv(x)) for (s, _), x in zip(reversed(g.tail), reversed(elems[:-1])))
+    return HnnWord(oracle, oracle.inv(elems[-1]), tail)
+
+
+def _join(oracle, *words: HnnWord) -> HnnWord:
+    """The concatenation of the words' tokens, unreduced."""
+    head, tail = oracle.identity, []
+    for w in words:
+        if tail:
+            tail[-1] = (tail[-1][0], oracle.mul(tail[-1][1], w.head))
+        else:
+            head = oracle.mul(head, w.head)
+        tail += w.tail
+    return HnnWord(oracle, head, tuple(tail))
+
+
+def _wrap_heavy_words(oracle, rng: random.Random, count: int) -> list[HnnWord]:
+    """Words g w g^-1, written out unreduced, with g of up to 30 syllables,
+    so that cyclic reduction peels g off by wrap pinches.  The cores w cycle
+    through a base element, t^-1 h t with h in H and t k t^-1 with k in K
+    (both cancel to a base element), one syllable, and up to six."""
+    elems = _base_elements(oracle)
+    e = oracle.identity
+
+    def syllables(size):
+        # signs in runs, so that fewer adjacent letters pinch
+        sign, out = rng.choice((1, -1)), []
+        for _ in range(size):
+            sign = -sign if rng.random() < 0.3 else sign
+            out.append((sign, rng.choice(elems)))
+        return tuple(out)
+
+    words = []
+    for i in range(count):
+        g = HnnWord(oracle, rng.choice(elems), syllables(rng.randint(0, 30)))
+        x = rng.choice(elems)
+        cores = [
+            HnnWord(oracle, x),
+            HnnWord(oracle, e, ((-1, oracle.decompose_left_H(x)[0]), (1, e))),
+            HnnWord(oracle, e, ((1, oracle.decompose_left_K(x)[0]), (-1, e))),
+            HnnWord(oracle, x, syllables(1)),
+            HnnWord(oracle, x, syllables(rng.randint(2, 6))),
+        ]
+        words.append(_join(oracle, g, cores[i % len(cores)], _formal_inverse(oracle, g)))
+    return words
+
+
+def _wrap_records(name: str, oracle, add) -> None:
+    """Cyclic reduction and classification of wrap-heavy conjugates, from a
+    seed of their own, so that the other records keep their inputs."""
+    rng = random.Random(f"{SEED}:{name}:wrap")
+    for w in _wrap_heavy_words(oracle, rng, 40):
+        add("cyclic_reduce g w g^-1", outcome(cyclic_reduce, w))
+        add("classify g w g^-1", outcome(classify, w))
+
+
 def _guard_records(name: str, oracle, add) -> None:
     """The calculus's own consistency check, on an oracle that breaks the
     decomposition contract."""
@@ -294,6 +353,7 @@ def corpus() -> dict[tuple[str, str], list[str]]:
 
     for name, oracle in oracles():
         _oracle_records(name, oracle, add_to(name))
+        _wrap_records(name, oracle, add_to(name))
     name = "BS(2,3) dropping K-representatives"
     _guard_records(name, _DropsKRepresentative(BsParams(2, 3)), add_to(name))
     for d in range(1, 5):
