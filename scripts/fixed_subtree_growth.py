@@ -16,7 +16,7 @@ from hnnkit import (
     unbounded_fixed_witness_bs,
 )
 from hnnkit.calculus import format_word
-from hnnkit.tree import _child_steps, _class_levels, _descend
+from hnnkit.tree import _class_levels, _descend
 
 
 def main():
@@ -30,9 +30,8 @@ def main():
         print(f"BS({m},{n}): gamma = {format_word(gamma)}")
         # one walk to the largest radius: the fixed set within radius r is
         # its levels down to depth r
-        steps = _child_steps(oracle)
-        entry, c, _ = _descend(gamma, steps)
-        _, levels = _class_levels(oracle, steps, entry, c, args.max_radius)
+        entry, c, _ = _descend(gamma)
+        _, levels = _class_levels(oracle, entry, c, args.max_radius)
         counts = [0] * len(entry) + [sum(level.values()) for level in levels]
         sizes = list(accumulate(counts))
         width = len(str(sizes[-1]))

@@ -90,23 +90,13 @@ class IccVerdict:
         return sorted(format_word(w) for w in self.witness)
 
 
-def generator_letter_words(oracle: BaseOracle) -> list[HnnWord]:
-    """The one-letter words t, t^-1, then each base generator and its
-    inverse, marked reduced."""
-    words = [stable_word(oracle, 1), stable_word(oracle, -1)]
+def _letter_conjugations(oracle: BaseOracle) -> list[tuple[tuple, tuple]]:
+    """``(l, l^-1)`` for the letters l = t, t^-1, then each base generator
+    and its inverse, as the ``(sign, x)`` letters of ``_nf_*_letter``."""
+    letters = [(1, oracle.identity), (-1, oracle.identity)]
     for g in oracle.generators():
-        words.append(base_word(oracle, g))
-        words.append(base_word(oracle, oracle.inv(g)))
-    return words
-
-
-def _letter_conjugations(oracle: BaseOracle) -> list[tuple[HnnWord, tuple, tuple]]:
-    """``(l, letter, inverse)`` for each word l of
-    :func:`generator_letter_words` (which come in inverse pairs), with l and
-    l^-1 as the ``(sign, x)`` letters of the calculus's ``_nf_*_letter``."""
-    gens = generator_letter_words(oracle)
-    letters = [g.tail[0] if g.tail else (0, g.head) for g in gens]
-    return [(g, letter, letters[i ^ 1]) for i, (g, letter) in enumerate(zip(gens, letters))]
+        letters += [(0, g), (0, oracle.inv(g))]
+    return [(letter, letters[i ^ 1]) for i, letter in enumerate(letters)]
 
 
 def verify_finite_class(oracle: BaseOracle, words: Sequence[HnnWord]) -> None:
@@ -119,9 +109,10 @@ def verify_finite_class(oracle: BaseOracle, words: Sequence[HnnWord]) -> None:
     keys = {normalize(w).key() for w in words}
     if normalize(identity_word(oracle)).key() in keys:
         raise VerificationError("witness set contains the identity")
-    for gen, letter, inverse in _letter_conjugations(oracle):
+    for letter, inverse in _letter_conjugations(oracle):
         for nf in keys:
             if _nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter, nf), inverse) not in keys:
+                gen = stable_word(oracle, letter[0]) if letter[0] else base_word(oracle, letter[1])
                 raise VerificationError(
                     f"witness set is not closed under conjugation by {format_word(gen)}"
                 )
@@ -238,7 +229,7 @@ def _orbit_layers(x: HnnWord) -> Iterator[set]:
     and cuts short the layer that takes the set past ``_ORBIT_LIMIT``,
     which it yields last."""
     oracle = x.oracle
-    steps = [(letter, inverse) for _, letter, inverse in _letter_conjugations(oracle)]
+    steps = _letter_conjugations(oracle)
     frontier = [normalize(x).key()]
     seen = set(frontier)
     while frontier:
@@ -304,16 +295,36 @@ class FolnerChain:
             raise VerificationError("chain elements are not pairwise distinct")
 
 
+# a Folner chain of more decimal digits in all is refused
+_DIGIT_BUDGET = 10**7
+
+
+def _check_digits(k: int, digits: int) -> None:
+    if digits > _DIGIT_BUDGET:
+        raise ValueError(f"the chain with k = {k} holds more than {_DIGIT_BUDGET} digits")
+
+
+def _digits(x) -> int:
+    """The decimal digits of an integer, or of a tuple's integers, from bit
+    lengths, not text: at least one each, and at most one over."""
+    if isinstance(x, int):
+        return x.bit_length() * 30103 // 100000 + 1
+    return sum(map(_digits, x))
+
+
 def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
     """The chain h_i = b^(m^(i+1) n^(k-i+1)), i = 0..k, verified.
 
     Distinctness is asserted only when |m| != |n| (the ICC case); with
     |m| = |n| all elements share one exponent magnitude and the chain is
-    still a valid certificate.
+    still a valid certificate.  A chain predicted to hold more than
+    ``_DIGIT_BUDGET`` digits in all is refused before it is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     oracle = make_bs(m, n)
+    # h_i has at most 1 + log10|m^(i+1) n^(k-i+1)| digits; log10 x <= 0.30103 ceil(log2 x)
+    _check_digits(k, k + 1 + (k + 1) * (k + 2) * (abs(m * n) - 1).bit_length() * 30103 // 200000)
     elements = tuple(m ** (i + 1) * n ** (k - i + 1) for i in range(k + 1))
     chain = FolnerChain(oracle, f"BS({m},{n})", elements)
     chain.verify(require_distinct=abs(m) != abs(n))
@@ -322,14 +333,19 @@ def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
 
 def folner_chain_ascending(oracle: BaseOracle, lam, k: int) -> FolnerChain:
     """The chain phi^0(lam), ..., phi^k(lam) for an ascending oracle
-    (H = whole base group) with abelian base; verified."""
-    elements = (lam, *_phi_iterates(oracle, lam, k, "k"))
+    (H = whole base group) with abelian base; verified.  It is refused once
+    its iterates pass ``_DIGIT_BUDGET`` digits in all."""
+    elements, digits = [lam], _digits(lam)
+    for h in _phi_iterates(oracle, lam, k, "k"):
+        digits += _digits(h)
+        _check_digits(k, digits)
+        elements.append(h)
     if oracle.is_identity(lam):
         raise ValueError("lam must be nontrivial")
     if len(elements) <= k:
         left = oracle.format_element(elements[-1])
         raise DomainError(f"oracle is not ascending: {left} left H")
-    chain = FolnerChain(oracle, f"{oracle.name} ascending", elements)
+    chain = FolnerChain(oracle, f"{oracle.name} ascending", tuple(elements))
     chain.verify(require_distinct=False, interior_only=True)
     return chain
 
@@ -392,7 +408,7 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
     for w in current:
         if not w.tail and oracle.is_identity(w.head):
             raise ValueError("every element of F must be nontrivial")
-    a, a_inv = generator_letter_words(oracle)[:2]
+    a, a_inv = stable_word(oracle, 1), stable_word(oracle, -1)
     run_start: Optional[int] = None
     trace: list[tuple[int, list[str]]] = []
     for step in range(1, n_max + 1):

@@ -28,9 +28,10 @@ The sign convention of Britton's rule, t^-1 h t = phi(h) for h in H and
 t k t^-1 = phi^-1(k) for k in K, is written out once: ``_is_pinch`` tests
 membership, ``_unpinch`` also applies phi or phi^-1, and ``_split`` is the
 carry step of a normal form, which splits a syllable by its coset and maps
-the subgroup part across the stable letter.  ``_nf_lmul_letter`` and
-``_nf_rmul_letter``, built on these two, turn a normal form into that of its
-product with one letter; :func:`cyclic_reduce` builds its rotations, and
+the subgroup part across the stable letter; ``_carry`` runs it right to left
+for :func:`normalize` and ``_nf_rmul_letter``.  ``_nf_lmul_letter`` and
+``_nf_rmul_letter`` turn a normal form into that of its product with one
+letter; :func:`cyclic_reduce` builds its rotations, and
 :mod:`hnnkit.analysis` its conjugacy orbits, by them.
 
 All values are immutable and all operations are pure functions, so the whole
@@ -352,21 +353,30 @@ def _nf_rmul_letter(oracle: BaseOracle, nf: tuple, letter: tuple[int, Any]) -> t
     """The normal form of ``w * letter``, as for :func:`_nf_lmul_letter`.  A
     stable letter cancels the last one when they pinch, which for a
     representative means it is the identity, and is appended otherwise; a
-    base letter starts the carry of :func:`normalize`, which stops at the
-    first identity carry."""
+    base letter starts a :func:`_carry`, which stops at the first identity
+    carry."""
     sign, x = letter
     head, tail = nf
     if sign:
         if tail and tail[-1][0] == -sign and oracle.is_identity(tail[-1][1]):
             return head, tail[:-1]
         return head, tail + ((sign, oracle.identity),)
+    return _carry(oracle, head, tail, x, canonical=True)
+
+
+def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
+    """The normal form of the pinch-free word ``(head, tail)`` times the base
+    element x, by one right-to-left pass: each lam_i times the carry (x at
+    first) is split by :func:`_split`, its representative replaces it and
+    the carry moves left.  When the tail already holds representatives
+    (``canonical``), the pass stops at the first identity carry."""
     pairs = list(tail)
     carry, next_sign = x, 0
     for j in range(len(pairs) - 1, -1, -1):
         s, elem = pairs[j]
         carry, rep = _split(oracle, s, oracle.mul(elem, carry), next_sign)
         pairs[j] = (s, rep)
-        if oracle.is_identity(carry):
+        if canonical and oracle.is_identity(carry):
             return head, tuple(pairs)
         next_sign = s
     return oracle.mul(head, carry), tuple(pairs)
@@ -469,30 +479,14 @@ def conjugate(g: HnnWord, x: HnnWord) -> HnnWord:
 
 
 def normalize(w: HnnWord) -> NormalForm:
-    """Britton-reduce, then canonicalize in one right-to-left pass.
-
-    For i = n down to 1 the segment ``lam_i`` is split by :func:`_split`
-    into its canonical representative, which replaces it, and a carry, which
-    is pushed into ``lam_{i-1}``.  A left push never re-creates a pinch
-    because a representative lies in the subgroup only when it is the
-    identity; ``_split`` checks that.
-    """
+    """Britton-reduce, then canonicalize in one right-to-left pass of
+    :func:`_carry`.  A left push never re-creates a pinch because a
+    representative lies in the subgroup only when it is the identity;
+    ``_split`` checks that."""
     oracle = w.oracle
     r = britton_reduce(w)
-    head = r.head
-    tail = list(r.tail)
-    next_sign = 0
-    for j in range(len(tail) - 1, -1, -1):
-        sign, elem = tail[j]
-        carry, rep = _split(oracle, sign, elem, next_sign)
-        tail[j] = (sign, rep)
-        next_sign = sign
-        if j:
-            psign, pelem = tail[j - 1]
-            tail[j - 1] = (psign, oracle.mul(pelem, carry))
-        else:
-            head = oracle.mul(head, carry)
-    return NormalForm(_reduced_word(oracle, head, tuple(tail)))
+    head, tail = _carry(oracle, r.head, r.tail, oracle.identity, canonical=False)
+    return NormalForm(_reduced_word(oracle, head, tail))
 
 
 def equals(u: HnnWord, v: HnnWord) -> bool:
@@ -506,49 +500,38 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     minimal stable-letter length among conjugates reachable by iterated
     wrap-pinch removal.
 
-    While the reduced word has opposite first and last signs and the wrap
-    product ``lam_n * lam_0`` lies in H (last sign -1, first +1) or K (last
-    +1, first -1), the word is rotated by its leading syllable and re-reduced.
-    Among the surviving same-length rotations the one with lexicographically
-    least :func:`format_word` text of its normal form is returned; on a tie
-    the rotation that starts earliest in the word wins.  So the choice of
-    core is canonical for a given input word.
+    A wrap pinch of the reduced word c = lam_0 t^s_1 lam_1 ... t^s_n lam_n
+    is t^s_n lam_n lam_0 t^s_1, a pinch read around the end.  Removing it
+    conjugates by the first syllable and forms no other pinch (Britton's
+    lemma), so after i of them the word is the slice lam_i t^s_i+1 ... t^s_j
+    of c with an element y joined to its end: the peel is one index scan
+    that unpinches lam_j y lam_i into the next y.  An elliptic core is
+    lam_i y, conjugated by c up to its i-th stable letter.  Otherwise the
+    core is the rotation of the slice, ended by lam_j y lam_i, whose normal
+    form has the least :func:`format_word` text (the earliest on a tie, so
+    the core is canonical); the one starting at its k-th syllable is
+    conjugated by the prefix of c up to syllable i + k.
 
-    Cost: the core's n rotations are all pinch-free once its one wrap join
-    is checked.  The first is normalized in full and each other one is
-    conjugated from the one before by a syllable, four one-letter products
-    (see :func:`_least_rotation`); each is compared with the best so far
-    only up to the first differing character.  The right product by a base
-    letter carries until its first identity carry, so the scan makes O(n)
-    carry steps when carries die out within a bounded distance and O(n^2)
-    at worst; each rotation also copies its tail tuple a few times.
+    Cost: the peel is O(n).  The rotation scan (see :func:`_least_rotation`)
+    makes O(n) carry steps when carries die out within a bounded distance
+    and O(n^2) at worst.
     """
     oracle = w.oracle
     c = britton_reduce(w)
-    g = identity_word(oracle)
-    while c.tail:
-        first_sign = c.tail[0][0]
-        last_sign, last_elem = c.tail[-1]
-        x = _unpinch(oracle, last_sign, oracle.mul(last_elem, c.head), first_sign)
+    lam = (c.head, *(x for _, x in c.tail))
+    i, j, y = 0, len(c.tail), oracle.identity
+    while j > i:
+        wrap = oracle.mul(oracle.mul(lam[j], y), lam[i])
+        x = _unpinch(oracle, c.tail[j - 1][0], wrap, c.tail[i][0])
         if x is None:
             break
-        prefix = _reduced_word(oracle, c.head, ((first_sign, oracle.identity),))
-        # the rotation lam_1 t^s_2 ... lam_n-1 t^s_n wrap t^s_1 ends in the
-        # wrap pinch, which is the base element x, so it is lam_1 t^s_2 ...
-        # lam_n-1 times x, joined at a seam
-        c = _reduced_word(oracle, *_seam(oracle, c.tail[0][1], c.tail[1:-1], x, ()))
-        g = mul(g, prefix)
-    if not c.tail:
-        return c, g
-    # canonical rotation: shift the head away, then pick the lexicographically
-    # least normal form among the syllable rotations
-    g = mul(g, base_word(oracle, c.head))
-    syllables = c.tail[:-1] + ((c.tail[-1][0], oracle.mul(c.tail[-1][1], c.head)),)
-    k, head, tail = _least_rotation(oracle, syllables)
-    core = _reduced_word(oracle, head, tail)
-    # a proper prefix of the pinch-free tail of c
-    conj = mul(g, _reduced_word(oracle, oracle.identity, syllables[:k]))
-    return core, conj
+        i, j, y = i + 1, j - 1, x
+    if i == j:
+        e = oracle.identity
+        conj = (c.head, c.tail[: i - 1] + ((c.tail[i - 1][0], e),)) if i else (e, ())
+        return base_word(oracle, oracle.mul(lam[i], y)), _reduced_word(oracle, *conj)
+    k, head, tail = _least_rotation(oracle, c.tail[i : j - 1] + ((c.tail[j - 1][0], wrap),))
+    return _reduced_word(oracle, head, tail), _reduced_word(oracle, c.head, c.tail[: i + k])
 
 
 def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, tuple]:

@@ -35,6 +35,7 @@ an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -227,10 +228,12 @@ def _backtracks(oracle: BaseOracle, last_sign: int, rep, sign: int) -> bool:
     return sign == -last_sign and oracle.is_identity(rep)
 
 
+@lru_cache(maxsize=64)
 def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
     """The steps ``(rep, sign)`` from a vertex to its children, keyed by the
-    sign of the last step of its path (0 at the base vertex): the edges of
-    :func:`neighbors` in its order, less the one that backtracks."""
+    sign of its last step (0 at the base vertex): the edges of
+    :func:`neighbors` in order, less the one that backtracks.  One table per
+    oracle, which every walk shares and only reads."""
     steps = [(rep, 1) for rep in oracle.h_transversal()]
     steps += [(rep, -1) for rep in oracle.k_transversal()]
     return {
@@ -245,10 +248,10 @@ _BALL_LIMIT = 10**6
 _STEP_LIMIT = 10**7
 
 
-def _class_levels(oracle: BaseOracle, steps: dict, path: tuple, c, radius: int):
+def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
     """The fixed vertices of gamma from the vertex v of ``path`` down,
     counted by classes of vertices rather than built, given the base element
-    c = v^-1 gamma v and the child-step table ``steps`` of the oracle.
+    c = v^-1 gamma v.
 
     The class of a fixed vertex u is ``(x, last)``: its conjugate
     x = u^-1 gamma u, a base element, and the sign of the last step of its
@@ -261,12 +264,12 @@ def _class_levels(oracle: BaseOracle, steps: dict, path: tuple, c, radius: int):
     child, and its walk from the base vertex has three classes.
 
     Returns a table from each class met to its fixed children as
-    ``((step,), class)`` pairs in the order of ``steps``, each step as a
-    one-step path that extends paths without a new tuple, and a generator of
-    the levels from v's depth down, each a dict from class to its number of
-    vertices on the level.  The generator stops at the radius or after the
-    last nonempty level, and fills the table as it goes, so a caller that
-    stops early pays only for the levels it read.
+    ``((step,), class)`` pairs in the order of :func:`_child_steps`, each
+    step as a one-step path that extends paths without a new tuple, and a
+    generator of the levels from v's depth down, each a dict from class to
+    its number of vertices on the level.  The generator stops at the radius
+    or after the last nonempty level, and fills the table as it goes, so a
+    caller that stops early pays only for the levels it read.
     """
     omul, oinv = oracle.mul, oracle.inv
     children = {}
@@ -282,7 +285,7 @@ def _class_levels(oracle: BaseOracle, steps: dict, path: tuple, c, radius: int):
                 if key not in children:
                     x, last = key
                     kids = children[key] = []
-                    for rep, sign in steps[last]:
+                    for rep, sign in _child_steps(oracle)[last]:
                         y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
                         if y is not None:
                             kids.append((((rep, sign),), (y, sign)))
@@ -296,9 +299,7 @@ def _class_levels(oracle: BaseOracle, steps: dict, path: tuple, c, radius: int):
     return children, levels()
 
 
-def _class_walk(
-    oracle: BaseOracle, steps: dict, path: tuple, c, radius: int, what: str
-) -> list[VertexLabel]:
+def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> list[VertexLabel]:
     """The vertices of ``_class_levels`` within the radius, in BFS order.
 
     The levels are counted first, and a walk over a million vertices, or
@@ -308,7 +309,7 @@ def _class_walk(
     children of their classes, and each returned vertex gets one label."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    children, levels = _class_levels(oracle, steps, path, c, radius)
+    children, levels = _class_levels(oracle, path, c, radius)
     vertices = path_steps = 0
     for depth, level in enumerate(levels, len(path)):
         count = sum(level.values())
@@ -336,20 +337,20 @@ def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
     the base vertex with conjugate the identity, and every child is fixed.
     A ball of more than a million vertices, or of more than ten million path
     steps in all, is refused before anything is built."""
-    return _class_walk(oracle, _child_steps(oracle), (), oracle.identity, radius, "the tree ball")
+    return _class_walk(oracle, (), oracle.identity, radius, "the tree ball")
 
 
-def _descend(gamma: HnnWord, steps: dict, radius: Optional[int] = None):
+def _descend(gamma: HnnWord, radius: Optional[int] = None):
     """Greedy walk from the base vertex towards Min gamma, to depth at most
-    ``radius``, through the child-step table ``steps`` of gamma's oracle:
-    the path of the vertex v where it stops, with v^-1 gamma v as a
-    pinch-free ``(head, tail)`` pair whose stable-letter count is
-    distance(v, gamma v).
+    ``radius``, through the child-step table of gamma's oracle: the path of
+    the vertex v where it stops, with v^-1 gamma v as a pinch-free
+    ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v).
 
     The walk never tries the step back to the parent: it reached v by a
     strict drop of distance(v, gamma v), so stepping back is never one."""
     oracle = gamma.oracle
     e = oracle.identity
+    steps = _child_steps(oracle)
     g = britton_reduce(gamma)
     path, head, tail = (), g.head, g.tail
     while tail and (radius is None or len(path) < radius):
@@ -384,7 +385,7 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    path, _, tail = _descend(gamma, _child_steps(gamma.oracle), radius)
+    path, _, tail = _descend(gamma, radius)
     return len(tail), VertexLabel(gamma.oracle, path)
 
 
@@ -456,14 +457,13 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     any path is built.  Only the returned vertices get a label.
     """
     oracle = gamma.oracle
-    steps = _child_steps(oracle)
     # the descent stops at the projection of the base vertex onto Min gamma,
     # which for an elliptic gamma is the fixed subtree; its parent is not
     # fixed, so every other fixed vertex lies below it
-    entry, c, tail = _descend(gamma, steps)
+    entry, c, tail = _descend(gamma)
     if tail:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
-    fixed = _class_walk(oracle, steps, entry, c, radius, "the fixed subtree")
+    fixed = _class_walk(oracle, entry, c, radius, "the fixed subtree")
     return frozenset(fixed), bool(fixed) and fixed[-1].depth == radius
 
 

@@ -39,8 +39,17 @@ from hnnkit import (
     symdiff_ratio,
     thm1_hypothesis_bs,
 )
-from hnnkit.analysis import generator_letter_words, verify_finite_class
+from hnnkit.analysis import verify_finite_class
 from hnnkit.calculus import _nf_lmul_letter, _nf_rmul_letter
+
+
+def generator_letter_words(oracle):
+    """The one-letter words t, t^-1, then each base generator and its
+    inverse."""
+    words = [stable_word(oracle, 1), stable_word(oracle, -1)]
+    for g in oracle.generators():
+        words += [base_word(oracle, g), base_word(oracle, oracle.inv(g))]
+    return words
 
 
 def reference_spheres(oracle, radius):
@@ -404,6 +413,43 @@ def test_folner_chain_invariants(bs23):
     for h in chain.elements:
         assert ora.in_H(h) and ora.in_K(h) and ora.is_central(h) and h != 0
     assert len(set(chain.elements)) == len(chain.elements)
+
+
+def predicted_digits(m, n, k):
+    """The digits of the BS(m, n) chain as folner_chain_bs predicts them:
+    one per element and log10 of each element's magnitude, with log10|m n|
+    bounded through the bit length of |m n| - 1."""
+    return k + 1 + (k + 1) * (k + 2) * (abs(m * n) - 1).bit_length() * 30103 // 200000
+
+
+def test_folner_bs_refuses_a_chain_over_the_digit_budget(monkeypatch, capsys):
+    for m, n, k in [(2, 3, 40), (-3, 4, 25), (1, 5, 60), (6, 1, 9), (1, -1, 30)]:
+        digits = sum(len(str(abs(h))) for h in folner_chain_bs(m, n, k).elements)
+        assert k + 1 <= digits <= predicted_digits(m, n, k)
+    # the budget in force admits --k 4000 on BS(2,3) and refuses --k 20000
+    assert predicted_digits(2, 3, 4000) <= analysis._DIGIT_BUDGET < predicted_digits(2, 3, 20000)
+    monkeypatch.setattr(analysis, "_DIGIT_BUDGET", 1000)
+    assert predicted_digits(2, 3, 44) <= 1000 < predicted_digits(2, 3, 45)
+    assert folner_chain_bs(2, 3, 44).k == 44
+    with pytest.raises(ValueError, match="^the chain with k = 45 holds more than 1000 digits$"):
+        folner_chain_bs(2, 3, 45)
+    # BS(+-1, +-1): one digit per element
+    assert folner_chain_bs(-1, 1, 999).elements == (-1, 1) * 500
+    with pytest.raises(ValueError, match="more than 1000 digits"):
+        folner_chain_bs(1, -1, 1000)
+    assert cli.main(["--m", "2", "--n", "3", "folner", "--k", "45"]) == 1
+    assert capsys.readouterr().err == "error: the chain with k = 45 holds more than 1000 digits\n"
+
+
+def test_folner_ascending_refuses_a_chain_over_the_digit_budget(monkeypatch, zd_fib):
+    # the digits are counted from bit lengths as the iterates are made
+    chain = folner_chain_ascending(zd_fib, (1, 0), 20)
+    digits = sum(analysis._digits(h) for h in chain.elements)
+    assert sum(len(str(abs(x))) for h in chain.elements for x in h) <= digits
+    monkeypatch.setattr(analysis, "_DIGIT_BUDGET", digits)
+    assert folner_chain_ascending(zd_fib, (1, 0), 20).elements == chain.elements
+    with pytest.raises(ValueError, match=f"^the chain with k = 21 holds more than {digits} digits$"):
+        folner_chain_ascending(zd_fib, (1, 0), 21)
 
 
 def test_folner_ascending_bs():

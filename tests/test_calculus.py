@@ -764,3 +764,21 @@ def test_cyclic_reduce_split_count(monkeypatch, core, before):
     n = len(cyclic_reduce(w)[0].tail)
     assert n == len(w.tail)
     assert len(calls) <= before + n - 1
+
+
+def test_cyclic_reduce_peels_wrap_pinches_without_products(monkeypatch):
+    # a^N b a^-N peels off by N wrap pinches, each a conjugation by the next
+    # syllable of the reduced word: the conjugator is a prefix of that word,
+    # read off by index, where the peel used to make one mul per pinch
+    oracle = make_bs(2, 3)
+    calls = []
+    real = calculus.mul
+
+    def mul(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "mul", mul)
+    core, g = cyclic_reduce(parse_word(oracle, "a^50 b a^-50"))
+    assert (str(core), str(g)) == ("b", "a^50")
+    assert calls == []

@@ -114,10 +114,11 @@ def test_only_split_decomposes_on_the_left():
 
 
 def test_only_the_normal_form_steps_carry():
-    # a right-to-left carry is run by normalize, or one letter at a time by
-    # _nf_lmul_letter and _nf_rmul_letter; the rotation scan of
-    # cyclic_reduce and the orbit BFS keep no carry of their own
-    allowed = {("calculus.py", name) for name in ("normalize", "_nf_lmul_letter", "_nf_rmul_letter")}
+    # the right-to-left carry is calculus._carry, which normalize and
+    # _nf_rmul_letter share, and _nf_lmul_letter splits one head; the
+    # rotation scan of cyclic_reduce and the orbit BFS keep no carry of
+    # their own
+    allowed = {("calculus.py", name) for name in ("_carry", "_nf_lmul_letter")}
     found = [
         f"{path.name}:{node.lineno} {func.name}"
         for path, tree in parsed_sources()
@@ -125,6 +126,21 @@ def test_only_the_normal_form_steps_carry():
         if isinstance(func, ast.FunctionDef) and (path.name, func.name) not in allowed
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split"
+    ]
+    assert found == []
+
+
+def test_cyclic_reduce_reads_its_results_off_the_reduced_word():
+    # each wrap pinch conjugates by the next syllable of the reduced word, so
+    # the core and the conjugator are slices of it: no product, seam,
+    # conjugate or inverse of words
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["calculus.py"]
+    func = next(node for node in tree.body if getattr(node, "name", None) == "cyclic_reduce")
+    banned = {"mul", "_seam", "conjugate", "inv"}
+    found = [
+        f"calculus.py:{node.lineno} {node.func.id}"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in banned
     ]
     assert found == []
 

@@ -123,6 +123,21 @@ def test_ball_is_the_fixed_set_of_the_identity(oracle):
         assert set(ball(oracle, r)) == fixed_subtree(identity_word(oracle), r)[0]
 
 
+def test_walks_share_one_child_step_table_per_oracle(monkeypatch):
+    # the table depends on the oracle alone: its one build asks _backtracks
+    # once per step and last sign, and no later walk over the oracle asks
+    oracle = make_bs(5, 7)
+    tree._child_steps.cache_clear()
+    calls = []
+    real = tree._backtracks
+    monkeypatch.setattr(tree, "_backtracks", lambda *args: calls.append(args) or real(*args))
+    for _ in range(2):
+        ball(oracle, 2)
+        fixed_subtree(base_word(oracle, 35), 3)
+        min_displacement_bfs(parse_word(oracle, "a b a^-1 b"), 3)
+        assert len(calls) == 3 * (5 + 7)
+
+
 def ball_size(degree, radius):
     """Vertices within ``radius`` of a vertex of the ``degree``-regular tree:
     the base vertex has ``degree`` neighbors and every other vertex
@@ -136,9 +151,8 @@ def class_walk_counts(gamma, radius):
     """The vertices of fixed_subtree(gamma, radius) per depth, from the
     counts of the class walk alone; with gamma the identity, of the ball."""
     oracle = gamma.oracle
-    steps = tree._child_steps(oracle)
-    entry, c, _ = tree._descend(gamma, steps)
-    _, levels = tree._class_levels(oracle, steps, entry, c, radius)
+    entry, c, _ = tree._descend(gamma)
+    _, levels = tree._class_levels(oracle, entry, c, radius)
     return {depth: sum(level.values()) for depth, level in enumerate(levels, len(entry))}
 
 
@@ -533,7 +547,7 @@ def reference_fixed_subtree(gamma, radius):
         raise ValueError("radius must be nonnegative")
     oracle = gamma.oracle
     steps = tree._child_steps(oracle)
-    entry, c, tail = tree._descend(gamma, steps)
+    entry, c, tail = tree._descend(gamma)
     if tail:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
     if len(entry) > radius:
@@ -870,7 +884,11 @@ def test_axes_take_one_walk(bs23, monkeypatch):
         classify, parse_word(bs23, "b " + "a b " * 12 + "b^-1"))
     assert count(delta, g, 10) == count(delta, g, 300)
     assert count(axes_overlap, g, h, 10) == count(axes_overlap, g, h, 300)
-    assert 0 < count(delta, g, 300) < 10
+    assert count(delta, g, 300) < 10
+    # the counters are wired: cyclic_reduce multiplies no words, so a call
+    # that still does shows it, and an elliptic witness gets one label
+    assert 0 < count(calculus.conjugate, g, h)
+    assert 0 < count(classify, parse_word(bs23, "a b a^-1"))
 
 
 def test_axes_overlap_rejects_elliptic(bs23):
