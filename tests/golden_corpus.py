@@ -316,6 +316,28 @@ def _wrap_records(name: str, oracle, add) -> None:
         add("classify g w g^-1", outcome(classify, w))
 
 
+def _periodic_words(oracle, rng: random.Random, count: int) -> list[HnnWord]:
+    """Words u^p, written out unreduced, with u of one to four syllables and
+    p up to 30, so that the cyclic core is itself a power of a shorter word
+    and many of its rotations are equal."""
+    elems = _base_elements(oracle)
+    words = []
+    for _ in range(count):
+        syllables = tuple((rng.choice((1, -1)), rng.choice(elems)) for _ in range(rng.randint(1, 4)))
+        u = HnnWord(oracle, rng.choice(elems), syllables)
+        words.append(_join(oracle, *[u] * rng.randint(1, 30)))
+    return words
+
+
+def _periodic_records(name: str, oracle, add) -> None:
+    """Cyclic reduction and classification of powers u^p, from a seed of
+    their own, so that the other records keep their inputs."""
+    rng = random.Random(f"{SEED}:{name}:power")
+    for w in _periodic_words(oracle, rng, 20):
+        add("cyclic_reduce u^p", outcome(cyclic_reduce, w))
+        add("classify u^p", outcome(classify, w))
+
+
 def _guard_records(name: str, oracle, add) -> None:
     """The calculus's own consistency check, on an oracle that breaks the
     decomposition contract."""
@@ -354,6 +376,7 @@ def corpus() -> dict[tuple[str, str], list[str]]:
     for name, oracle in oracles():
         _oracle_records(name, oracle, add_to(name))
         _wrap_records(name, oracle, add_to(name))
+        _periodic_records(name, oracle, add_to(name))
     name = "BS(2,3) dropping K-representatives"
     _guard_records(name, _DropsKRepresentative(BsParams(2, 3)), add_to(name))
     for d in range(1, 5):
