@@ -20,10 +20,12 @@ from .calculus import (
     HnnWord,
     NormalForm,
     VerificationError,
+    _LIMITS,
     _nf_lmul_letter,
     _nf_rmul_letter,
     _phi_iterates,
     _reduced_word,
+    _refusal,
     _seam,
     base_word,
     britton_reduce,
@@ -161,7 +163,7 @@ def icc_probe_orbit(x: HnnWord, radii: Sequence[int] = (2, 4, 6)) -> IccVerdict:
     radius gets the size of its :func:`orbit_sample`, read off one BFS run
     only as far as the radii need (it stops early once the orbit is
     complete); the first radius refused, in the order given, raises."""
-    layers = map(len, _orbit_layers(x))
+    layers, limit = map(len, _orbit_layers(x)), _LIMITS["normal forms"]
     sizes: list[int] = []
     evidence = []
     for r in radii:
@@ -169,8 +171,8 @@ def icc_probe_orbit(x: HnnWord, radii: Sequence[int] = (2, 4, 6)) -> IccVerdict:
             raise ValueError("radius must be nonnegative")
         sizes += islice(layers, max(r + 1 - len(sizes), 0))
         size = sizes[min(r, len(sizes) - 1)]
-        if size > _ORBIT_LIMIT:
-            raise _orbit_refusal(r)
+        if size > limit:
+            raise _refusal(f"the orbit within radius {r}", "normal forms")
         evidence.append((r, size))
     return IccVerdict(EMPIRICAL, evidence=tuple(evidence))
 
@@ -199,21 +201,17 @@ def thm1_hypothesis_bs(m: int, n: int, j_max: int) -> bool:
     return result
 
 
-# orbit_sample refuses an orbit of more distinct normal forms
-_ORBIT_LIMIT = 10**5
-
-
 def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
     """Normal forms of g x g^-1 over all g in the generator ball of the given
     radius, deduplicated, sorted by canonical serialization: the set of
     :func:`_orbit_layers` after ``radius`` layers.  More than
-    ``_ORBIT_LIMIT`` normal forms raise ``ValueError``.  Each element is
-    formatted once, for the sort, and keeps its text."""
+    ``_LIMITS["normal forms"]`` normal forms raise ``ValueError``.  Each
+    element is formatted once, for the sort, and keeps its text."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     *_, seen = islice(_orbit_layers(x), radius + 1)
-    if len(seen) > _ORBIT_LIMIT:
-        raise _orbit_refusal(radius)
+    if len(seen) > _LIMITS["normal forms"]:
+        raise _refusal(f"the orbit within radius {radius}", "normal forms")
     orbit = (NormalForm(_reduced_word(x.oracle, *key)) for key in seen)
     return tuple(sorted(orbit, key=str))
 
@@ -226,9 +224,9 @@ def _orbit_layers(x: HnnWord) -> Iterator[set]:
     reached at radius r - 1.  Normal forms are unique (Britton's lemma), so
     l c l^-1 is made from that of c by one letter on each side; only ``x``
     is normalized in full.  The BFS stops after a layer that adds nothing,
-    and cuts short the layer that takes the set past ``_ORBIT_LIMIT``,
-    which it yields last."""
-    oracle = x.oracle
+    and cuts short the layer that takes the set past
+    ``_LIMITS["normal forms"]``, which it yields last."""
+    oracle, limit = x.oracle, _LIMITS["normal forms"]
     steps = _letter_conjugations(oracle)
     frontier = [normalize(x).key()]
     seen = set(frontier)
@@ -241,16 +239,10 @@ def _orbit_layers(x: HnnWord) -> Iterator[set]:
                 if d not in seen:
                     seen.add(d)
                     layer.append(d)
-                    if len(seen) > _ORBIT_LIMIT:
+                    if len(seen) > limit:
                         yield seen
                         return
         frontier = layer
-
-
-def _orbit_refusal(radius: int) -> ValueError:
-    return ValueError(
-        f"the orbit within radius {radius} holds more than {_ORBIT_LIMIT} normal forms"
-    )
 
 
 @dataclass(frozen=True)
@@ -295,15 +287,6 @@ class FolnerChain:
             raise VerificationError("chain elements are not pairwise distinct")
 
 
-# a Folner chain of more decimal digits in all is refused
-_DIGIT_BUDGET = 10**7
-
-
-def _check_digits(k: int, digits: int) -> None:
-    if digits > _DIGIT_BUDGET:
-        raise ValueError(f"the chain with k = {k} holds more than {_DIGIT_BUDGET} digits")
-
-
 def _digits(x) -> int:
     """The decimal digits of an integer, or of a tuple's integers, from bit
     lengths, not text: at least one each, and at most one over."""
@@ -318,13 +301,14 @@ def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
     Distinctness is asserted only when |m| != |n| (the ICC case); with
     |m| = |n| all elements share one exponent magnitude and the chain is
     still a valid certificate.  A chain predicted to hold more than
-    ``_DIGIT_BUDGET`` digits in all is refused before it is built.
-    """
+    ``_LIMITS["digits"]`` digits in all is refused before it is built."""
     if k < 1:
         raise ValueError("k must be >= 1")
     oracle = make_bs(m, n)
     # h_i has at most 1 + log10|m^(i+1) n^(k-i+1)| digits; log10 x <= 0.30103 ceil(log2 x)
-    _check_digits(k, k + 1 + (k + 1) * (k + 2) * (abs(m * n) - 1).bit_length() * 30103 // 200000)
+    digits = k + 1 + (k + 1) * (k + 2) * (abs(m * n) - 1).bit_length() * 30103 // 200000
+    if digits > _LIMITS["digits"]:
+        raise _refusal(f"the chain with k = {k}", "digits")
     elements = tuple(m ** (i + 1) * n ** (k - i + 1) for i in range(k + 1))
     chain = FolnerChain(oracle, f"BS({m},{n})", elements)
     chain.verify(require_distinct=abs(m) != abs(n))
@@ -334,11 +318,12 @@ def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
 def folner_chain_ascending(oracle: BaseOracle, lam, k: int) -> FolnerChain:
     """The chain phi^0(lam), ..., phi^k(lam) for an ascending oracle
     (H = whole base group) with abelian base; verified.  It is refused once
-    its iterates pass ``_DIGIT_BUDGET`` digits in all."""
-    elements, digits = [lam], _digits(lam)
+    its iterates pass ``_LIMITS["digits"]`` digits in all."""
+    elements, digits, limit = [lam], _digits(lam), _LIMITS["digits"]
     for h in _phi_iterates(oracle, lam, k, "k"):
         digits += _digits(h)
-        _check_digits(k, digits)
+        if digits > limit:
+            raise _refusal(f"the chain with k = {k}", "digits")
         elements.append(h)
     if oracle.is_identity(lam):
         raise ValueError("lam must be nontrivial")

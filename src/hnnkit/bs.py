@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .calculus import BaseOracle, DomainError
+from .calculus import BaseOracle, DomainError, _int_text
 
 __all__ = [
     "BsParams",
@@ -116,7 +116,7 @@ class BsOracle(BaseOracle):
             return "1"
         if x == 1:
             return "b"
-        return f"b^{x}"
+        return f"b^{_int_text(x)}"
 
 
 def make_bs(m: int, n: int) -> BsOracle:

@@ -94,6 +94,34 @@ class UnboundedIndexError(ValueError):
     """A coset transversal was requested for a subgroup of infinite index."""
 
 
+# every size hnnkit refuses up front, keyed by the unit its refusal names;
+# the path steps of a tree walk are the sum of its vertices' depths
+_LIMITS = {
+    "stable letters": 10**6,
+    "vertices": 10**6,
+    "path steps": 10**7,
+    "normal forms": 10**5,
+    "digits": 10**7,
+}
+
+
+def _refusal(subject, *units) -> ValueError:
+    """The error "<subject> holds more than <limit> <unit> or ...", or a
+    :class:`WordParseError` at ``subject`` when that is a text position."""
+    more = "more than " + " or ".join(f"{_LIMITS[unit]} {unit}" for unit in units)
+    if isinstance(subject, int):
+        return WordParseError(more, subject)
+    return ValueError(f"{subject} holds {more}")
+
+
+def _int_text(x: int) -> str:
+    """``str(x)``, refused in one line past ``sys.get_int_max_str_digits()``."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(f"an integer of more than {sys.get_int_max_str_digits()} digits") from None
+
+
 class BaseOracle:
     """Exact arithmetic and subgroup data for the base group of an HNN extension.
 
@@ -545,14 +573,17 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, tup
     t^s lam times that is rotation k.  So each rotation is two letters of
     :func:`_nf_rmul_letter` and two of :func:`_nf_lmul_letter` from the
     last one; the carry of lam^-1 stops at its first identity carry.
+    Rotation k + q is rotation k for the least period q of the syllables.
     """
     # every adjacency but the wrap join lies in the pinch-free core
     if _is_pinch(oracle, syllables[-1][0], syllables[-1][1], syllables[0][0]):
         raise VerificationError("rotation of a cyclic core must stay reduced")
+    n = len(syllables)
+    q = next(q for q in range(1, n + 1) if n % q == 0 and syllables[q:] == syllables[: n - q])
     e = oracle.identity
     nf = normalize(_reduced_word(oracle, e, syllables)).key()
     best = (0, *nf)
-    for k in range(len(syllables) - 1, 0, -1):
+    for k in range(q - 1, 0, -1):
         sign, lam = syllables[k]
         nf = _nf_rmul_letter(oracle, nf, (0, oracle.inv(lam)))
         nf = _nf_rmul_letter(oracle, nf, (-sign, e))
@@ -650,19 +681,14 @@ def _grammar_for(stable_letter: str, base_letters: tuple):
     return pattern, letters
 
 
-# a text with more stable letters is refused before any of them is built
-_STABLE_LETTER_LIMIT = 10**6
-
-
 def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     """Parse word text; raises :class:`WordParseError` with the position on
-    malformed input, on an exponent too long for ``int``, or on more than a
-    million stable letters in all.  The written form is preserved (no
-    reduction)."""
+    malformed input, on an exponent too long for ``int``, or past the
+    stable-letter limit.  The written form is preserved (no reduction)."""
     pattern, letters = oracle._grammar
     e = oracle.identity
     head, tail = e, []
-    pos = 0
+    pos, limit = 0, _LIMITS["stable letters"]
     while True:
         term = pattern.match(text, pos)
         pos = term.end()
@@ -685,11 +711,8 @@ def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
                 ) from None
         kind, value = letters[name]
         if kind == "stable":
-            if len(tail) + abs(exp) > _STABLE_LETTER_LIMIT:
-                raise WordParseError(
-                    f"more than {_STABLE_LETTER_LIMIT} stable letters",
-                    term.start("exp") if term["exp"] else term.start("name"),
-                )
+            if len(tail) + abs(exp) > limit:
+                raise _refusal(term.start("exp" if term["exp"] else "name"), "stable letters")
             tail += [(1 if exp > 0 else -1, e)] * abs(exp)
         elif kind == "base" and exp:
             x = oracle.power(value, exp)

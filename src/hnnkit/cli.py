@@ -17,8 +17,7 @@ from typing import Optional
 
 from .calculus import (
     BaseOracle,
-    DomainError,
-    WordParseError,
+    _int_text,
     britton_reduce,
     equals,
     format_word,
@@ -157,7 +156,7 @@ def _run(args) -> int:
             payload = {"k": chain.k, "elements": shown}
         else:
             chain = analysis.folner_chain_bs(args.m, args.n, args.k)
-            text = "exponents: " + " ".join(str(h) for h in chain.elements)
+            text = "exponents: " + " ".join(map(_int_text, chain.elements))
             payload = {"k": chain.k, "exponents": list(chain.elements)}
         if args.gamma is not None:
             g = parse_word(oracle, args.gamma)
@@ -204,7 +203,7 @@ def _run(args) -> int:
         sys.stdout.write(tree.tree_dot(oracle, args.radius, gamma))
     elif cmd == "domj":
         g = dom_phi_j_closed_form(_require_bs(oracle, "domj").params, args.j)
-        _emit(args, str(g), {"generator": g})
+        _emit(args, _int_text(g), {"generator": g})
     else:  # pragma: no cover
         raise ValueError(f"unknown command {cmd!r}")
     return 0
@@ -221,7 +220,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except analysis.HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WordParseError, DomainError, ValueError) as exc:
+    except ValueError as exc:  # WordParseError, DomainError and every refusal
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

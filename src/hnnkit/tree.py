@@ -21,8 +21,8 @@ depends only on v's conjugate v^-1 gamma v and the sign of v's last step
 The ball is the fixed set of the identity, walked from the base vertex;
 ``fixed_subtree`` walks from the end of the descent.  The walk counts each
 level by classes first, which gives the exact size, and refuses a request
-over a million vertices or ten million path steps in all before any path is
-built.  Then it extends the paths level by level, in BFS order.
+past the vertex or path-step limit of ``calculus._LIMITS`` before any path
+is built.  Then it extends the paths level by level, in BFS order.
 
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
@@ -43,7 +43,9 @@ from .calculus import (
     BaseOracle,
     HnnWord,
     VerificationError,
+    _LIMITS,
     _reduced_word,
+    _refusal,
     _same_oracle,
     _seam,
     _unpinch,
@@ -242,12 +244,6 @@ def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
     }
 
 
-# a walk over more vertices than this, or over more path steps in all (the
-# sum of the vertices' depths), is refused
-_BALL_LIMIT = 10**6
-_STEP_LIMIT = 10**7
-
-
 def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
     """The fixed vertices of gamma from the vertex v of ``path`` down,
     counted by classes of vertices rather than built, given the base element
@@ -302,24 +298,22 @@ def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
 def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> list[VertexLabel]:
     """The vertices of ``_class_levels`` within the radius, in BFS order.
 
-    The levels are counted first, and a walk over a million vertices, or
-    over ten million path steps in all, is refused before any path is built:
-    on a tree of degree 2 a million vertices have paths of up to half a
-    million steps each.  Then each level's paths are extended by the fixed
-    children of their classes, and each returned vertex gets one label."""
+    The levels are counted first, and a walk past the vertex or path-step
+    limit is refused before any path is built: on a tree of degree 2 a
+    million vertices have paths of up to half a million steps each.  Then
+    each level's paths are extended by the fixed children of their classes,
+    and each returned vertex gets one label."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     children, levels = _class_levels(oracle, path, c, radius)
+    max_vertices, max_steps = _LIMITS["vertices"], _LIMITS["path steps"]
     vertices = path_steps = 0
     for depth, level in enumerate(levels, len(path)):
         count = sum(level.values())
         vertices += count
         path_steps += depth * count
-        if vertices > _BALL_LIMIT or path_steps > _STEP_LIMIT:
-            raise ValueError(
-                f"{what} within radius {radius} holds more than {_BALL_LIMIT} vertices"
-                f" or {_STEP_LIMIT} path steps"
-            )
+        if vertices > max_vertices or path_steps > max_steps:
+            raise _refusal(f"{what} within radius {radius}", "vertices", "path steps")
     if not vertices:
         return []
     level = [(path, (c, path[-1][1] if path else 0))]
@@ -335,8 +329,7 @@ def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
 
     The ball is the fixed set of the identity, so it is the class walk from
     the base vertex with conjugate the identity, and every child is fixed.
-    A ball of more than a million vertices, or of more than ten million path
-    steps in all, is refused before anything is built."""
+    A ball past the vertex or path-step limit is refused before it is built."""
     return _class_walk(oracle, (), oracle.identity, radius, "the tree ball")
 
 
@@ -452,10 +445,9 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     search restricted to fixed vertices starting at the projection of the
     base vertex is complete.  The descent finds that vertex, and the class
     walk that ``ball`` also runs (see ``_class_levels``) goes down from it:
-    it counts the fixed set exactly first, and refuses one of more than a
-    million vertices, or of more than ten million path steps in all, before
-    any path is built.  Only the returned vertices get a label.
-    """
+    it counts the fixed set exactly first, and refuses one past the vertex
+    or path-step limit before any path is built.  Only returned vertices get
+    a label."""
     oracle = gamma.oracle
     # the descent stops at the projection of the base vertex onto Min gamma,
     # which for an elliptic gamma is the fixed subtree; its parent is not

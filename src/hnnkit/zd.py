@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd
 from typing import Optional
 
-from .calculus import BaseOracle, DomainError
+from .calculus import BaseOracle, DomainError, _int_text
 
 __all__ = [
     "IntegerMatrix",
@@ -247,7 +247,7 @@ class ZdOracle(BaseOracle):
         for i, a in enumerate(x):
             if a == 0:
                 continue
-            parts.append(f"e{i + 1}" if a == 1 else f"e{i + 1}^{a}")
+            parts.append(f"e{i + 1}" if a == 1 else f"e{i + 1}^{_int_text(a)}")
         return " ".join(parts) if parts else "1"
 
 

@@ -65,7 +65,7 @@ from hnnkit import (
     tree_dot,
     unbounded_fixed_witness_bs,
 )
-from hnnkit import analysis
+from hnnkit import calculus
 from hnnkit.analysis import verify_finite_class
 from hnnkit.bs import BsOracle, BsParams
 from hnnkit.zd import det_int
@@ -149,11 +149,11 @@ def _base_elements(oracle) -> list:
 
 
 def _limited_probe(x: HnnWord, radii: tuple):
-    saved, analysis._ORBIT_LIMIT = analysis._ORBIT_LIMIT, PROBE_LIMIT
+    saved, calculus._LIMITS["normal forms"] = calculus._LIMITS["normal forms"], PROBE_LIMIT
     try:
         return icc_probe_orbit(x, radii)
     finally:
-        analysis._ORBIT_LIMIT = saved
+        calculus._LIMITS["normal forms"] = saved
 
 
 def _witness_family(m: int, n: int):

@@ -330,7 +330,7 @@ def test_orbit_sample_normalizes_once_and_formats_each_element_once(bs23, monkey
 def test_orbit_sample_refuses_more_than_the_limit(bs23, monkeypatch, capsys):
     x = parse_word(bs23, "b")
     # BS(2,3) b: 118 normal forms at radius 5, 282 at radius 6
-    monkeypatch.setattr(analysis, "_ORBIT_LIMIT", 200)
+    monkeypatch.setitem(calculus._LIMITS, "normal forms", 200)
     assert len(orbit_sample(x, 5)) == 118
     calls = []
 
@@ -427,8 +427,8 @@ def test_folner_bs_refuses_a_chain_over_the_digit_budget(monkeypatch, capsys):
         digits = sum(len(str(abs(h))) for h in folner_chain_bs(m, n, k).elements)
         assert k + 1 <= digits <= predicted_digits(m, n, k)
     # the budget in force admits --k 4000 on BS(2,3) and refuses --k 20000
-    assert predicted_digits(2, 3, 4000) <= analysis._DIGIT_BUDGET < predicted_digits(2, 3, 20000)
-    monkeypatch.setattr(analysis, "_DIGIT_BUDGET", 1000)
+    assert predicted_digits(2, 3, 4000) <= calculus._LIMITS["digits"] < predicted_digits(2, 3, 20000)
+    monkeypatch.setitem(calculus._LIMITS, "digits", 1000)
     assert predicted_digits(2, 3, 44) <= 1000 < predicted_digits(2, 3, 45)
     assert folner_chain_bs(2, 3, 44).k == 44
     with pytest.raises(ValueError, match="^the chain with k = 45 holds more than 1000 digits$"):
@@ -446,7 +446,7 @@ def test_folner_ascending_refuses_a_chain_over_the_digit_budget(monkeypatch, zd_
     chain = folner_chain_ascending(zd_fib, (1, 0), 20)
     digits = sum(analysis._digits(h) for h in chain.elements)
     assert sum(len(str(abs(x))) for h in chain.elements for x in h) <= digits
-    monkeypatch.setattr(analysis, "_DIGIT_BUDGET", digits)
+    monkeypatch.setitem(calculus._LIMITS, "digits", digits)
     assert folner_chain_ascending(zd_fib, (1, 0), 20).elements == chain.elements
     with pytest.raises(ValueError, match=f"^the chain with k = 21 holds more than {digits} digits$"):
         folner_chain_ascending(zd_fib, (1, 0), 21)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,26 @@ def test_parse_refuses_an_exponent_too_long_for_int(bs23, text, position):
         parse_word(bs23, text)
     assert exc.value.position == position
     assert parse_word(bs23, "b^" + "9" * 4300).head == 10**4300 - 1
+
+
+def test_format_refuses_an_integer_past_the_str_digit_limit():
+    # Python turns at most sys.get_int_max_str_digits() digits into text;
+    # past that the oracles' element text raises hnnkit's own one line
+    bs12 = make_bs(1, 2)
+    big = normalize(parse_word(bs12, "a^2200 b a^-2200")).word
+    assert big.head == 2**2200  # 663 digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for element_text in (
+            lambda: format_word(big),
+            lambda: make_zd([[2, 0], [0, 2]]).format_element((1, -(2**2200))),
+        ):
+            with pytest.raises(ValueError, match="^an integer of more than 640 digits$"):
+                element_text()
+        assert format_word(normalize(parse_word(bs12, "a^2000 b a^-2000")).word) == f"b^{2**2000}"
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_parse_admits_the_stable_letter_limit(bs23):
@@ -678,6 +699,35 @@ def test_cyclic_reduce_periodic_core_keeps_first_rotation(bs23):
     core, conj = cyclic_reduce(w)
     assert format_word(core) == "b^-12 a^-1 b^2 a b a^-1 b^2 a b"
     assert format_word(conj) == "b"
+
+
+@pytest.mark.parametrize(
+    "u, p, q", [("a", 8000, 1), ("a b", 1000, 1), ("a b a b^2", 40, 2), ("a b a^-1 b a b^2", 30, 3)]
+)
+def test_cyclic_reduce_scans_a_periodic_core_once(monkeypatch, u, p, q):
+    # rotations k and k + q of a core of least period q are the same tuple,
+    # so the scan makes rotations q - 1, ..., 1 only, each by two
+    # _nf_lmul_letter products: none for a power of one syllable
+    oracle = make_bs(2, 3)
+    w = parse_word(oracle, " ".join([u] * p))
+    if q == 1:
+        # every rotation is rotation 0
+        expected = (normalize(w).key(), (0, ()))
+    else:
+        ref_core, ref_conj = reference_cyclic_reduce(w)
+        expected = (ref_core.key(), ref_conj.key())
+    calls = []
+    real = calculus._nf_lmul_letter
+
+    def lmul(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "_nf_lmul_letter", lmul)
+    core, conj = cyclic_reduce(w)
+    assert (core.key(), conj.key()) == expected
+    assert len(core.tail) == len(w.tail)
+    assert len(calls) == 2 * (q - 1)
 
 
 def test_cyclic_reduce_checks_the_wrap_join(monkeypatch):

@@ -79,6 +79,23 @@ def test_huge_stable_exponent_is_refused(capsys):
     assert err == "error: more than 1000000 stable letters (at position 2)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("normal", "a^2200 b a^-2200"), ("domj", "--j", "2200"), ("--json", "domj", "--j", "2200")],
+    ids=["normal", "domj", "json domj"],
+)
+def test_integer_past_the_str_digit_limit_is_refused(argv):
+    # b^(2^2200) and the generator of Dom phi^2200 in BS(1,2) have 663
+    # digits, more than Python's int-to-str limit of 640 set by -X
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "hnnkit.cli", "--m", "1", "--n", "2", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=30,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: an integer of more than 640 digits\n"
+
+
 def test_witness_unbounded(capsys):
     _, out, _ = run(capsys, "--m", "4", "--n", "2", "witness-unbounded")
     lines = out.strip().splitlines()

@@ -205,17 +205,68 @@ def test_orbit_conjugates_normal_forms_by_one_letter():
 
 
 def test_one_size_check_for_the_tree_walks():
-    # ball and fixed_subtree are one class walk, refused by one check
-    names = ("_BALL_LIMIT", "_STEP_LIMIT")
-    found = {
-        f"{path.name}:{node.name}"
-        for path, tree in parsed_sources()
+    # every size hnnkit refuses is an entry of calculus._LIMITS, the only
+    # module-level name of a limit or a budget
+    sources = parsed_sources()
+    limits = [
+        f"{path.name}:{name.id}"
+        for path, tree in sources
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
         for name in ast.walk(node)
-        if isinstance(name, ast.Name) and name.id in names
-    }
-    assert len(found) == 1, sorted(found)
+        if isinstance(name, ast.Name) and ("LIMIT" in name.id.upper() or "BUDGET" in name.id.upper())
+    ]
+    assert limits == ["calculus.py:_LIMITS"]
+
+    def naming(name):
+        # {(module, function): function node} of every function naming ``name``
+        return {
+            (path.name, func.name): func
+            for path, tree in sources
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            and any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(func))
+        }
+
+    def uncompared_reads(func):
+        # lines that read _LIMITS outside a comparison and outside the value
+        # bound to a local name that a comparison reads
+        compares = [node for node in ast.walk(func) if isinstance(node, ast.Compare)]
+        compared = {name.id for node in compares for name in ast.walk(node) if isinstance(name, ast.Name)}
+        allowed = {id(x) for node in compares for x in ast.walk(node)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = [(target, value)]
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    pairs = zip(target.elts, value.elts)
+                for name, part in pairs:
+                    if isinstance(name, ast.Name) and name.id in compared:
+                        allowed |= {id(x) for x in ast.walk(part)}
+        return [
+            node.lineno for node in ast.walk(func)
+            if isinstance(node, ast.Name) and node.id == "_LIMITS" and id(node) not in allowed
+        ]
+
+    # _refusal writes every refusal and is only raised; besides it, the
+    # table is read only where a size is compared with a limit, and every
+    # function that refuses reads the table
+    calls = [
+        (path.name, node)
+        for path, tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refusal"
+    ]
+    raised = {id(node.exc) for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    assert calls and all(id(call) in raised for _, call in calls)
+    readers = naming("_LIMITS")
+    assert readers.pop(("calculus.py", "_refusal"))
+    assert [(site, uncompared_reads(func)) for site, func in readers.items() if uncompared_reads(func)] == []
+    refusing = naming("_refusal")
+    assert set(refusing) <= set(readers)
+    # ball and fixed_subtree are one class walk, refused by one check
+    assert [site for site in refusing if site[0] == "tree.py"] == [("tree.py", "_class_walk")]
+    assert [module for module, _ in calls].count("tree.py") == 1
 
 
 def test_nothing_enumerates_the_tree_through_neighbors():

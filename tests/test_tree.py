@@ -219,9 +219,9 @@ def test_ball_refuses_an_oversized_request_up_front(monkeypatch, capsys):
     # the limits in force: BS(2,3) meets the vertex limit first, the line
     # (a tree of degree 2) the step limit
     assert totals(bs23, 9) == (436_906, 3_786_525)
-    assert totals(bs23, 10)[0] == 1_747_626 > tree._BALL_LIMIT
+    assert totals(bs23, 10)[0] == 1_747_626 > calculus._LIMITS["vertices"]
     assert totals(line, 3161) == (6323, 9_995_082)
-    assert totals(line, 3162)[1] == 10_001_406 > tree._STEP_LIMIT
+    assert totals(line, 3162)[1] == 10_001_406 > calculus._LIMITS["path steps"]
     assert totals(make_bs(1, 2), 18) == (786_430, 13_369_347)
 
     # the refusal comes before any label is built
@@ -236,8 +236,8 @@ def test_ball_refuses_an_oversized_request_up_front(monkeypatch, capsys):
     # each limit alone at its boundary, lowered so that the walks stay small:
     # BS(2,3) at radius 5 passes only the vertex limit, the line at radius
     # 100 only the step limit
-    monkeypatch.setattr(tree, "_BALL_LIMIT", 1000)
-    monkeypatch.setattr(tree, "_STEP_LIMIT", 10_000)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 1000)
+    monkeypatch.setitem(calculus._LIMITS, "path steps", 10_000)
     assert totals(bs23, 4) == (426, 1565) and totals(bs23, 5) == (1706, 7965)
     assert totals(line, 99) == (199, 9900) and totals(line, 100) == (201, 10_100)
     for oracle, radius in [(bs23, 5), (line, 100)]:
@@ -624,7 +624,7 @@ def test_fixed_subtree_refuses_an_oversized_request_up_front(monkeypatch, capsys
     with pytest.raises(ValueError, match="radius 8 holds more than 1000000 vertices"):
         fixed_subtree(gamma, 8)
     # a broken refusal enumerates 1,597 vertices, not the whole radius-8 ball
-    monkeypatch.setattr(tree, "_BALL_LIMIT", 1000)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 1000)
     assert class_walk_size(gamma, 3) == (1597, True)
     with pytest.raises(ValueError, match="radius 3 holds more than 1000 vertices"):
         fixed_subtree(gamma, 3)
