@@ -316,25 +316,27 @@ def _wrap_records(name: str, oracle, add) -> None:
         add("classify g w g^-1", outcome(classify, w))
 
 
-def _periodic_words(oracle, rng: random.Random, count: int) -> list[HnnWord]:
+def _periodic_words(oracle, rng: random.Random, count: int, most: int) -> list[HnnWord]:
     """Words u^p, written out unreduced, with u of one to four syllables and
-    p up to 30, so that the cyclic core is itself a power of a shorter word
-    and many of its rotations are equal."""
+    p up to ``most``, so that the cyclic core is itself a power of a shorter
+    word and many of its rotations are equal."""
     elems = _base_elements(oracle)
     words = []
     for _ in range(count):
         syllables = tuple((rng.choice((1, -1)), rng.choice(elems)) for _ in range(rng.randint(1, 4)))
         u = HnnWord(oracle, rng.choice(elems), syllables)
-        words.append(_join(oracle, *[u] * rng.randint(1, 30)))
+        words.append(_join(oracle, *[u] * rng.randint(1, most)))
     return words
 
 
 def _periodic_records(name: str, oracle, add) -> None:
     """Cyclic reduction and classification of powers u^p, from a seed of
-    their own, so that the other records keep their inputs."""
+    their own, so that the other records keep their inputs.  classify walks
+    the whole element once per axis sample vertex, so its powers stop at 6."""
     rng = random.Random(f"{SEED}:{name}:power")
-    for w in _periodic_words(oracle, rng, 20):
+    for w in _periodic_words(oracle, rng, 20, 30):
         add("cyclic_reduce u^p", outcome(cyclic_reduce, w))
+    for w in _periodic_words(oracle, rng, 20, 6):
         add("classify u^p", outcome(classify, w))
 
 
