@@ -21,11 +21,11 @@ from .calculus import (
     NormalForm,
     VerificationError,
     _LIMITS,
+    _more_than,
     _nf_lmul_letter,
     _nf_rmul_letter,
     _phi_iterates,
     _reduced_word,
-    _refusal,
     _seam,
     base_word,
     britton_reduce,
@@ -172,7 +172,7 @@ def icc_probe_orbit(x: HnnWord, radii: Sequence[int] = (2, 4, 6)) -> IccVerdict:
         sizes += islice(layers, max(r + 1 - len(sizes), 0))
         size = sizes[min(r, len(sizes) - 1)]
         if size > limit:
-            raise _refusal(f"the orbit within radius {r}", "normal forms")
+            raise ValueError(f"the orbit within radius {r} holds {_more_than('normal forms')}")
         evidence.append((r, size))
     return IccVerdict(EMPIRICAL, evidence=tuple(evidence))
 
@@ -211,7 +211,7 @@ def orbit_sample(x: HnnWord, radius: int) -> tuple[NormalForm, ...]:
         raise ValueError("radius must be nonnegative")
     *_, seen = islice(_orbit_layers(x), radius + 1)
     if len(seen) > _LIMITS["normal forms"]:
-        raise _refusal(f"the orbit within radius {radius}", "normal forms")
+        raise ValueError(f"the orbit within radius {radius} holds {_more_than('normal forms')}")
     orbit = (NormalForm(_reduced_word(x.oracle, *key)) for key in seen)
     return tuple(sorted(orbit, key=str))
 
@@ -308,7 +308,7 @@ def folner_chain_bs(m: int, n: int, k: int) -> FolnerChain:
     # h_i has at most 1 + log10|m^(i+1) n^(k-i+1)| digits; log10 x <= 0.30103 ceil(log2 x)
     digits = k + 1 + (k + 1) * (k + 2) * (abs(m * n) - 1).bit_length() * 30103 // 200000
     if digits > _LIMITS["digits"]:
-        raise _refusal(f"the chain with k = {k}", "digits")
+        raise ValueError(f"the chain with k = {k} holds {_more_than('digits')}")
     elements = tuple(m ** (i + 1) * n ** (k - i + 1) for i in range(k + 1))
     chain = FolnerChain(oracle, f"BS({m},{n})", elements)
     chain.verify(require_distinct=abs(m) != abs(n))
@@ -323,7 +323,7 @@ def folner_chain_ascending(oracle: BaseOracle, lam, k: int) -> FolnerChain:
     for h in _phi_iterates(oracle, lam, k, "k"):
         digits += _digits(h)
         if digits > limit:
-            raise _refusal(f"the chain with k = {k}", "digits")
+            raise ValueError(f"the chain with k = {k} holds {_more_than('digits')}")
         elements.append(h)
     if oracle.is_identity(lam):
         raise ValueError("lam must be nontrivial")

@@ -105,13 +105,9 @@ _LIMITS = {
 }
 
 
-def _refusal(subject, *units) -> ValueError:
-    """The error "<subject> holds more than <limit> <unit> or ...", or a
-    :class:`WordParseError` at ``subject`` when that is a text position."""
-    more = "more than " + " or ".join(f"{_LIMITS[unit]} {unit}" for unit in units)
-    if isinstance(subject, int):
-        return WordParseError(more, subject)
-    return ValueError(f"{subject} holds {more}")
+def _more_than(*units) -> str:
+    """The phrase "more than <limit> <unit> or ..." of every refusal."""
+    return "more than " + " or ".join(f"{_LIMITS[unit]} {unit}" for unit in units)
 
 
 def _int_text(x: int) -> str:
@@ -712,7 +708,9 @@ def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
         kind, value = letters[name]
         if kind == "stable":
             if len(tail) + abs(exp) > limit:
-                raise _refusal(term.start("exp" if term["exp"] else "name"), "stable letters")
+                raise WordParseError(
+                    _more_than("stable letters"), term.start("exp" if term["exp"] else "name")
+                )
             tail += [(1 if exp > 0 else -1, e)] * abs(exp)
         elif kind == "base" and exp:
             x = oracle.power(value, exp)

@@ -44,8 +44,8 @@ from .calculus import (
     HnnWord,
     VerificationError,
     _LIMITS,
+    _more_than,
     _reduced_word,
-    _refusal,
     _same_oracle,
     _seam,
     _unpinch,
@@ -313,7 +313,9 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
         vertices += count
         path_steps += depth * count
         if vertices > max_vertices or path_steps > max_steps:
-            raise _refusal(f"{what} within radius {radius}", "vertices", "path steps")
+            raise ValueError(
+                f"{what} within radius {radius} holds {_more_than('vertices', 'path steps')}"
+            )
     if not vertices:
         return []
     level = [(path, (c, path[-1][1] if path else 0))]

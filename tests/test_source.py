@@ -248,24 +248,45 @@ def test_one_size_check_for_the_tree_walks():
             if isinstance(node, ast.Name) and node.id == "_LIMITS" and id(node) not in allowed
         ]
 
-    # _refusal writes every refusal and is only raised; besides it, the
-    # table is read only where a size is compared with a limit, and every
-    # function that refuses reads the table
+    # _more_than writes the phrase of every refusal and is called only
+    # inside a raise; besides it, the table is read only where a size is
+    # compared with a limit, and every function that refuses reads the table
     calls = [
         (path.name, node)
         for path, tree in sources
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refusal"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_more_than"
     ]
-    raised = {id(node.exc) for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    raised = {
+        id(x) for _, tree in sources for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        for x in ast.walk(node)
+    }
     assert calls and all(id(call) in raised for _, call in calls)
     readers = naming("_LIMITS")
-    assert readers.pop(("calculus.py", "_refusal"))
+    assert readers.pop(("calculus.py", "_more_than"))
     assert [(site, uncompared_reads(func)) for site, func in readers.items() if uncompared_reads(func)] == []
-    refusing = naming("_refusal")
+    refusing = naming("_more_than")
     assert set(refusing) <= set(readers)
-    # ball and fixed_subtree are one class walk, refused by one check
-    assert [site for site in refusing if site[0] == "tree.py"] == [("tree.py", "_class_walk")]
+
+    def reading(unit):
+        # every function that reads _LIMITS[unit]
+        return {
+            (path.name, func.name)
+            for path, tree in sources
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) == "_LIMITS"
+            and getattr(node.slice, "value", None) == unit
+        }
+
+    # ball and fixed_subtree are one class walk, refused by one check: it
+    # alone reads the tree's limits, and it is tree.py's only size check
+    walk = ("tree.py", "_class_walk")
+    assert reading("vertices") == reading("path steps") == {walk}
+    assert [site for site in readers if site[0] == "tree.py"] == [walk]
+    assert [site for site in refusing if site[0] == "tree.py"] == [walk]
     assert [module for module, _ in calls].count("tree.py") == 1
 
 
