@@ -330,14 +330,18 @@ def _periodic_words(oracle, rng: random.Random, count: int, most: int) -> list[H
 
 
 def _periodic_records(name: str, oracle, add) -> None:
-    """Cyclic reduction and classification of powers u^p, from a seed of
-    their own, so that the other records keep their inputs.  classify walks
-    the whole element once per axis sample vertex, so its powers stop at 6."""
+    """Cyclic reduction, classification and attracting points of powers u^p,
+    from a seed of their own, so that the other records keep their inputs.
+    At radius 12 a hyperbolic ray runs max(2, ceil(12 / tl)) periods.  The
+    powers that are classified stop at 6: a record holds one label per
+    vertex of its axis sample or ray, each as long as its depth, so its text
+    grows as p^2."""
     rng = random.Random(f"{SEED}:{name}:power")
     for w in _periodic_words(oracle, rng, 20, 30):
         add("cyclic_reduce u^p", outcome(cyclic_reduce, w))
     for w in _periodic_words(oracle, rng, 20, 6):
         add("classify u^p", outcome(classify, w))
+        add("delta u^p", outcome(delta, w, 12))
 
 
 def _guard_records(name: str, oracle, add) -> None:
