@@ -414,28 +414,28 @@ def _axis_labels(conj: HnnWord, word: HnnWord) -> Iterator[VertexLabel]:
 
 def classify(gamma: HnnWord) -> IsometryClass:
     """Elliptic when the cyclic core is a base element, else hyperbolic with
-    translation length the core's stable-letter count and an axis sample of
-    three periods, taken by one walk.  Each answer is checked by ``act``:
-    the witness is fixed, and gamma moves each sample vertex by exactly the
-    translation length."""
+    translation length tl the core's stable-letter count.  The sample is one
+    walk of three periods along the axis, or the witness conj L when tl = 0.
+    One rule checks both by three ``act`` walks: the sample is a geodesic,
+    and gamma moves sample[i] to sample[i + tl] for i = 0, tl and the start
+    of the last period.  Then d(v, gamma^2 v) = 2 d(v, gamma v) = 2 tl for
+    v = sample[0], so gamma fixes v or has v on its axis (Serre, *Trees*,
+    I.6.4), and so has the start of the last period, as it is moved by tl."""
     return _classify(gamma, *cyclic_reduce(gamma))
 
 
-def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord) -> IsometryClass:
-    """``classify`` of gamma = conj core conj^-1, from its cyclic reduction."""
-    if not core.tail:
-        witness = to_vertex_label(conj)
-        if act(gamma, witness) != witness:
-            raise VerificationError("elliptic witness must be fixed")
-        return IsometryClass(ELLIPTIC, fixed_vertex=witness, conjugator=conj)
+def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord, periods: int = 3) -> IsometryClass:
+    """``classify`` of gamma = conj core conj^-1, from its cyclic reduction,
+    with a sample of ``periods`` periods."""
     tl = len(core.tail)
-    sample = tuple(islice(_axis_labels(conj, core), 1 + 3 * tl))
-    for v in sample:
-        if distance(v, act(gamma, v)) != tl:
-            raise VerificationError("axis sample must realize the translation length")
-    return IsometryClass(
-        HYPERBOLIC, conjugator=conj, translation_length=tl, axis_sample=sample
-    )
+    sample = tuple(islice(_axis_labels(conj, core), 1 + periods * tl)) if tl else (to_vertex_label(conj),)
+    if distance(sample[0], sample[-1]) != periods * tl or any(
+        act(gamma, sample[i]) != sample[i + tl] for i in sorted({0, tl, (periods - 1) * tl})
+    ):
+        raise VerificationError("gamma must move its sample along itself by the translation length")
+    if not tl:
+        return IsometryClass(ELLIPTIC, fixed_vertex=sample[0], conjugator=conj)
+    return IsometryClass(HYPERBOLIC, conjugator=conj, translation_length=tl, axis_sample=sample)
 
 
 def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], bool]:
@@ -539,20 +539,21 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
     """Equivariant attracting-point assignment, computed at a finite radius.
 
     Hyperbolic: the attracting end, described by the axis ray in the
-    attracting direction with its eventual period (the cyclic core).
+    attracting direction with its eventual period (the cyclic core); the ray
+    is classify's checked sample, of max(2, ceil(radius / tl)) periods.
     Elliptic: the center of the fixed subtree when that set stays strictly
     inside the ball; when it reaches the boundary the fixed subtree may be
     unbounded and no center is guessed.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     core, conj = cyclic_reduce(gamma)
     # gamma is trivial exactly when its conjugate core is
     if not core.tail and gamma.oracle.is_identity(core.head):
         raise TrivialElementError("delta is undefined on the trivial element")
-    cls = _classify(gamma, core, conj)
+    cls = _classify(gamma, core, conj, max(2, -(-radius // max(1, len(core.tail)))))
     if cls.kind == HYPERBOLIC:
-        periods = max(2, -(-radius // max(1, len(core.tail))))
-        ray = tuple(islice(_axis_labels(conj, core), 1 + periods * len(core.tail)))
-        return DeltaPoint(kind="end", ray=ray, period=core)
+        return DeltaPoint(kind="end", ray=cls.axis_sample, period=core)
     fixed, touches = fixed_subtree(gamma, radius)
     if touches or not fixed:
         note = (
@@ -567,6 +568,9 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
 def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
     """Number of common axis vertices of two hyperbolic isometries inside
     the radius ball."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    _same_oracle(gamma1, gamma2)
     sets = []
     for gamma in (gamma1, gamma2):
         core, conj = cyclic_reduce(gamma)

@@ -1,4 +1,5 @@
 import random
+from itertools import cycle
 
 import pytest
 
@@ -32,6 +33,7 @@ from hnnkit import (
     mul,
     neighbors,
     normalize,
+    orbit_sample,
     parse_word,
     stable_word,
     to_vertex_label,
@@ -470,6 +472,84 @@ def test_classify_raises_when_a_certificate_fails(bs23, monkeypatch):
     monkeypatch.setattr(tree, "act", lambda g, v: v)
     with pytest.raises(VerificationError):
         classify(stable_word(bs23))
+
+
+HYPERBOLIC_PERIOD = "a b^5 a b^-7 a^-1 b a^-1 b^2"  # BS(2, 3), translation length 4
+
+
+@pytest.mark.parametrize("p", [1, 5, 30])
+def test_classify_and_delta_take_at_most_three_act_walks(bs23, monkeypatch, p):
+    # one certificate rule: three act walks on an axis sample of any length,
+    # one on an elliptic witness, however long the power
+    calls = []
+    real = tree.act
+    monkeypatch.setattr(tree, "act", lambda g, v: calls.append(v) or real(g, v))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    hyperbolic = parse_word(bs23, " ".join([HYPERBOLIC_PERIOD] * p))
+    elliptic = parse_word(bs23, " ".join(["a b a^-1"] * p))
+    assert classify(hyperbolic).translation_length == 4 * p
+    assert count(classify, hyperbolic) == 3
+    assert count(classify, elliptic) == 1
+    assert count(delta, hyperbolic, 3) <= 3
+    assert count(delta, hyperbolic, 300) <= 3
+    assert count(delta, elliptic, 3) <= 3
+
+
+def test_classify_and_delta_check_the_last_period(bs23, monkeypatch):
+    # an axis sample that is right but for its last period is caught, on
+    # classify's three periods and on a delta ray of six
+    g = parse_word(bs23, "b a b^-1 a")
+    tl, ray = classify(g).translation_length, delta(g, 12).ray
+    assert len(ray) == 1 + 6 * tl
+    real_act = tree.act
+    for fn, sample in ((classify, classify(g).axis_sample), (lambda w: delta(w, 12), ray)):
+        last, end = sample[-1 - tl], sample[-1]
+        # an action that is correct except at the start of the last period
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "act", lambda h, v: real_act(h, v).step(0, 1) if v == last else real_act(h, v))
+            with pytest.raises(VerificationError):
+                fn(g)
+        # a walk whose final vertex is replaced by a sibling
+        parent = tree.VertexLabel(bs23, end.path[:-1])
+        sibling = next(e.target for e in neighbors(parent) if e.target.depth > parent.depth and e.target != end)
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "_axis_labels", lambda conj, core: iter(sample[:-1] + (sibling,)))
+            with pytest.raises(VerificationError):
+                fn(g)
+    # a walk that turns back, which an action swapping its two vertices
+    # moves along itself: only the geodesic check sees it
+    v, w = ray[:2]
+    with monkeypatch.context() as patch:
+        patch.setattr(tree, "act", lambda h, u: w if u == v else v)
+        patch.setattr(tree, "_axis_labels", lambda conj, core: cycle((v, w)))
+        with pytest.raises(VerificationError):
+            classify(stable_word(bs23))
+
+
+@pytest.mark.parametrize("call", [
+    lambda o: ball(o, -1),
+    lambda o: tree_dot(o, -1),
+    lambda o: fixed_subtree(base_word(o, 1), -1),
+    lambda o: min_displacement_bfs(stable_word(o), -1),
+    lambda o: orbit_sample(base_word(o, 1), -1),
+    lambda o: delta(base_word(o, 1), -1),
+    lambda o: delta(stable_word(o), -1),
+    lambda o: axes_overlap(stable_word(o), stable_word(o), -1),
+], ids=["ball", "tree_dot", "fixed_subtree", "min_displacement_bfs", "orbit_sample",
+        "delta elliptic", "delta hyperbolic", "axes_overlap"])
+def test_a_negative_radius_is_refused(bs23, call):
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        call(bs23)
+
+
+def test_axes_overlap_refuses_words_of_two_groups(bs23):
+    with pytest.raises(ValueError, match="different oracles"):
+        axes_overlap(stable_word(bs23), stable_word(make_bs(3, 2)), 3)
 
 
 # --- fixed subtrees -------------------------------------------------------------
