@@ -430,7 +430,7 @@ def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord, periods: int = 3) ->
     tl = len(core.tail)
     sample = tuple(islice(_axis_labels(conj, core), 1 + periods * tl)) if tl else (to_vertex_label(conj),)
     if distance(sample[0], sample[-1]) != periods * tl or any(
-        act(gamma, sample[i]) != sample[i + tl] for i in sorted({0, tl, (periods - 1) * tl})
+        act(gamma, sample[i]) != sample[i + tl] for i in {0, tl, (periods - 1) * tl}
     ):
         raise VerificationError("gamma must move its sample along itself by the translation length")
     if not tl:
