@@ -25,6 +25,7 @@ import json
 import random
 import sys
 from collections import defaultdict
+from functools import reduce
 from pathlib import Path
 
 from hnnkit import (
@@ -80,6 +81,8 @@ ZD_MATRICES = [((2, 0), (0, 2)), ((1, 1), (-1, 2)), ((2, 1), (1, 1))]
 PROBE_RADII = [(2, 0, 1), (1, 3, 1, 3), (0,), (), (2, -1, 3), (-2, 1)]
 LIMITED_PROBE_RADII = [(1, 3, 2, -1), (3, 0), (-1, 4), (2, 2)]
 PROBE_LIMIT = 20
+# the vertex limit under which the deep records take fixed subtrees
+DEEP_VERTEX_LIMIT = 2000
 
 
 class _DropsKRepresentative(BsOracle):
@@ -154,6 +157,14 @@ def _limited_probe(x: HnnWord, radii: tuple):
         return icc_probe_orbit(x, radii)
     finally:
         calculus._LIMITS["normal forms"] = saved
+
+
+def _limited_delta(gamma: HnnWord, radius: int):
+    saved, calculus._LIMITS["vertices"] = calculus._LIMITS["vertices"], DEEP_VERTEX_LIMIT
+    try:
+        return delta(gamma, radius)
+    finally:
+        calculus._LIMITS["vertices"] = saved
 
 
 def _witness_family(m: int, n: int):
@@ -344,6 +355,78 @@ def _periodic_records(name: str, oracle, add) -> None:
         add("delta u^p", outcome(delta, w, 12))
 
 
+def _deep_words(oracle, rng: random.Random, count: int) -> list[HnnWord]:
+    """Words of 70 syllables whose vertex lies at depth 50 or more: nearly
+    every stable letter has sign +1, so few of them pinch."""
+    elems = _base_elements(oracle)
+    words = []
+    while len(words) < count:
+        tail = tuple((1 if rng.random() < 0.9 else -1, rng.choice(elems)) for _ in range(70))
+        w = HnnWord(oracle, rng.choice(elems), tail)
+        if to_vertex_label(w).depth >= 50:
+            words.append(w)
+    return words
+
+
+def _deep_records(name: str, oracle, add) -> None:
+    """Labels at depth 50 or more, each built by several routes: the walk
+    of a word, ``act`` of a prefix on the vertex of the suffix, the public
+    constructor, one ``VertexLabel.step`` per path step from the base
+    vertex, and ``act`` of the identity.  Their equality and hash agreement,
+    distances, actions, centers and attracting points, from a seed of their
+    own, so that the other records keep their inputs.  Elliptic attracting
+    points run under a vertex limit of DEEP_VERTEX_LIMIT, which refuses the
+    large fixed subtrees before they are built."""
+    rng = random.Random(f"{SEED}:{name}:deep")
+    e = oracle.identity
+    steps = [(rep, 1) for rep in oracle.h_transversal()] + [(rep, -1) for rep in oracle.k_transversal()]
+    words = _deep_words(oracle, rng, 4)
+    others = []
+    for w in words:
+        cut = rng.randint(1, len(w.tail) - 1)
+        g, h = HnnWord(oracle, w.head, w.tail[:cut]), HnnWord(oracle, e, w.tail[cut:])
+        v = to_vertex_label(w)
+        routes = [
+            v,
+            act(g, to_vertex_label(h)),
+            VertexLabel(oracle, v.path),
+            reduce(lambda u, step: u.step(*step), v.path, base_vertex(oracle)),
+            act(HnnWord(oracle, e), v),
+        ]
+        add("deep labels", outcome(lambda: (v.depth, v)))
+        for a, b in itertools.combinations(routes, 2):
+            add("deep ==", repr((a == b, hash(a) == hash(b))))
+        parent = VertexLabel(oracle, v.path[:-1])
+        siblings = [u for u in (parent.step(rep, sign) for rep, sign in steps) if u.depth > parent.depth]
+        for u in [parent, *siblings]:
+            add("deep ==", repr((u == v, v == u, u in set(routes))))
+        # a vertex sharing the prefix g, and a vertex of another deep word
+        fork = to_vertex_label(_join(oracle, g, _random_words(oracle, rng, 1)[0]))
+        other = to_vertex_label(rng.choice(words))
+        short = _random_words(oracle, rng, 3)
+        for a in routes:
+            for b in (fork, other, parent, *siblings, base_vertex(oracle), act(short[0], a)):
+                add("deep distance", outcome(distance, a, b))
+        for x in [*short, _formal_inverse(oracle, w), _formal_inverse(oracle, g), rng.choice(words)]:
+            add("deep act", outcome(act, x, rng.choice(routes)))
+        add("deep center", outcome(center, routes))
+        add("deep center", outcome(center, routes + [fork, other, parent]))
+        add("deep center", outcome(center, [rng.choice(routes), fork, *siblings]))
+        others.append(fork)
+        add("deep delta", outcome(delta, w, 60))
+        add("deep delta", outcome(delta, _formal_inverse(oracle, w), 60))
+        depth = to_vertex_label(g).depth
+        for x in _base_elements(oracle)[1:4]:
+            conjugate = _join(oracle, g, HnnWord(oracle, x), _formal_inverse(oracle, g))
+            for r in (depth - 1, depth + 3):
+                add(f"deep delta limit {DEEP_VERTEX_LIMIT}", outcome(_limited_delta, conjugate, r))
+    if len(ball(oracle, 1)) == 3:
+        # a line: the class walk reaches depth 60 with 121 vertices
+        line = set(ball(oracle, 60))
+        for v in others + [to_vertex_label(w) for w in words]:
+            add("deep ==", repr((v.depth, v in line)))
+
+
 def _guard_records(name: str, oracle, add) -> None:
     """The calculus's own consistency check, on an oracle that breaks the
     decomposition contract."""
@@ -383,6 +466,7 @@ def corpus() -> dict[tuple[str, str], list[str]]:
         _oracle_records(name, oracle, add_to(name))
         _wrap_records(name, oracle, add_to(name))
         _periodic_records(name, oracle, add_to(name))
+        _deep_records(name, oracle, add_to(name))
     name = "BS(2,3) dropping K-representatives"
     _guard_records(name, _DropsKRepresentative(BsParams(2, 3)), add_to(name))
     for d in range(1, 5):
