@@ -223,6 +223,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:  # WordParseError, DomainError and every refusal
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a request that no limit refused, past the host's memory
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,16 +3,21 @@
 Vertices are the cosets g L of the base group; an oriented edge g H runs from
 g L to g t L, so every vertex has one outgoing edge per H-coset and one
 incoming edge per K-coset.  A vertex is named by its backtrack-free path word
-from the base vertex (a sequence of coset-representative steps), which makes
-the tree metric a prefix computation and the ball enumeration free of
-equality checks.
+from the base vertex, a sequence of coset-representative steps, held as a
+cons cell: a label holds its parent's label, its last step, its depth and a
+hash made once from the parent's hash and that step.  This is hash-consing
+(Filliatre and Conchon, "Type-safe modular hash-consing", ML Workshop 2006)
+without the table: a step costs one cell and one small hash at any depth,
+labels that share a prefix share its cells, equal paths hash equal whatever
+built them, and the tree metric is a climb to the deepest common ancestor.
 
 A word moves a vertex by one walk, ``_walk``, which splits each base element
 into a left-coset representative (the next step) and a subgroup part carried
-across the stable letter, and pops the path where the word leads back.  The
-enumerations (``ball``, ``fixed_subtree`` and the descent to Min gamma)
-extend bare path tuples through one child-step table instead.  A label wraps
-only a vertex that is returned and hashes by its path alone.
+across the stable letter, and pops back to the parent where the word leads
+back; the steps it pushes become cells only if it returns them.  The
+enumerations (``ball``, ``fixed_subtree`` and the descent to Min gamma) step
+through one child-step table instead, and the class walk gives each vertex it
+returns one cell, a child of its parent's.
 
 ``ball`` and ``fixed_subtree`` are one walk over a fixed set, by classes of
 vertices, not by vertices: whether a child of a fixed vertex v is fixed
@@ -21,8 +26,8 @@ depends only on v's conjugate v^-1 gamma v and the sign of v's last step
 The ball is the fixed set of the identity, walked from the base vertex;
 ``fixed_subtree`` walks from the end of the descent.  The walk counts each
 level by classes first, which gives the exact size, and refuses a request
-past the vertex or path-step limit of ``calculus._LIMITS`` before any path
-is built.  Then it extends the paths level by level, in BFS order.
+past the vertex or path-step limit of ``calculus._LIMITS`` before any label
+is built.  Then it extends the cells level by level, in BFS order.
 
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .calculus import (
@@ -100,43 +105,132 @@ class TrivialElementError(ValueError):
     """The trivial element has no attracting point or fixed-tree center."""
 
 
-@dataclass(frozen=True, slots=True)
+# the step and hash of the base vertex: no representative, and the sign 0
+# by which the child-step table keys it
+_BASE_STEP = (None, 0)
+_BASE_HASH = hash(_BASE_STEP)
+_new = object.__new__
+
+
 class VertexLabel:
-    """Backtrack-free path word naming a vertex coset.
+    """Backtrack-free path word naming a vertex coset, as a cons cell.
 
-    ``path`` entries are (representative, sign): a step (r, +1) crosses the
-    outgoing edge g r H, a step (r, -1) the incoming edge g r t^-1 K-side.
-    The empty path is the base vertex; the distance to it is the path length.
-    """
+    The path's entries are (representative, sign): a step (r, +1) crosses
+    the outgoing edge g r H, a step (r, -1) the incoming edge g r t^-1
+    K-side.  A label holds its ``parent`` (the label of the path less its
+    last step, None at the base vertex), that ``last_step`` ((None, 0) at the
+    base vertex), its ``depth`` (the path length, which is the distance to
+    the base vertex) and a hash made once from the parent's hash and the
+    step.  ``path`` builds the tuple of steps by one climb.
 
-    oracle: BaseOracle
-    path: tuple[tuple[object, int], ...] = ()
+    ``VertexLabel(oracle, path)`` builds the cells of a path; the walks
+    build one cell per step they return.  Labels compare by value: equal
+    paths over equal oracles are equal labels and hash equal, whatever
+    built them.  Two equal labels of different chains are found equal by
+    one climb, after which the first shares the second's cells, so that
+    comparing more labels of the two chains, as a set intersection does,
+    costs O(1) each."""
+
+    __slots__ = ("oracle", "parent", "last_step", "depth", "_hash")
+
+    def __init__(self, oracle: BaseOracle, path: tuple[tuple[object, int], ...] = ()):
+        v = _label(oracle, path)
+        self.oracle, self.parent, self.last_step, self.depth, self._hash = (
+            oracle, v.parent, v.last_step, v.depth, v._hash)
 
     @property
-    def depth(self) -> int:
-        return len(self.path)
+    def path(self) -> tuple[tuple[object, int], ...]:
+        """The steps from the base vertex, as a new tuple: one climb, so
+        O(depth) per call."""
+        return tuple(_steps(self))
 
     def word(self) -> HnnWord:
         """The path word ``r_1 t^s_1 ... r_k t^s_k``.  It is pinch-free: a
         representative lies in its subgroup only when it is the identity,
         and an identity step against the previous sign would backtrack."""
-        reps = [rep for rep, _ in self.path] + [self.oracle.identity]
-        pairs = tuple((sign, r) for (_, sign), r in zip(self.path, reps[1:]))
-        return _reduced_word(self.oracle, reps[0], pairs)
+        head, tokens = _path_tokens(self)
+        return _reduced_word(self.oracle, head, tuple(tokens))
 
     def step(self, rep, sign: int) -> "VertexLabel":
         """Move across the edge of ``rep t^sign``: any base element names
         the edge of its coset, and a step back pops to the parent."""
-        oracle = self.oracle
-        return VertexLabel(oracle, _walk(oracle, self.path, rep, ((sign, oracle.identity),))[0])
+        return _walk(self, rep, ((sign, self.oracle.identity),))[0]
+
+    def __eq__(self, other) -> bool:
+        # hash and depth first, then a climb until both sides reach one
+        # shared cell, or the base vertices, whose oracles must be equal
+        if not isinstance(other, VertexLabel):
+            return NotImplemented
+        u, v = self, other
+        if u._hash != v._hash or u.depth != v.depth:
+            return False
+        while u is not v:
+            if u.parent is None:
+                if u.oracle != v.oracle:
+                    return False
+                break
+            if u.last_step != v.last_step:
+                return False
+            u, v = u.parent, v.parent
+        # equal: self's chain takes other's cells, which hold the same
+        # steps, so that the next comparison of the two chains stops at once
+        u, v = self, other
+        while u is not v and u.parent is not None:
+            up = u.parent
+            u.parent = v.parent
+            u, v = up, v.parent
+        return True
 
     def __hash__(self) -> int:
-        # the path alone: equal labels have equal paths, and the oracle,
-        # which __eq__ still compares, is costly to rehash per label
-        return hash(self.path)
+        return self._hash
+
+    def __reduce__(self):
+        # the path, not the chain of cells, which would pickle and copy
+        # one nested call per step
+        return type(self), (self.oracle, tuple(_steps(self)))
+
+    def __repr__(self) -> str:
+        return f"VertexLabel(oracle={self.oracle!r}, path={tuple(_steps(self))!r})"
 
     def __str__(self) -> str:
         return label_str(self)
+
+
+def _child(parent: VertexLabel, step: tuple[object, int]) -> VertexLabel:
+    """The cell of ``parent``'s path extended by ``step``."""
+    v = _new(VertexLabel)
+    v.oracle = parent.oracle
+    v.parent = parent
+    v.last_step = step
+    v.depth = parent.depth + 1
+    v._hash = hash((parent._hash, step))
+    return v
+
+
+def _label(oracle: BaseOracle, path) -> VertexLabel:
+    """The cells of a path of steps, from a new base vertex down."""
+    v = base_vertex(oracle)
+    for step in path:
+        v = _child(v, step)
+    return v
+
+
+def _path_tokens(v: VertexLabel) -> tuple[object, list[tuple[int, object]]]:
+    """The head r_1 and the tokens (s_i, r_i+1) of v's path word
+    r_1 t^s_1 ... r_k t^s_k, with r_k+1 the identity."""
+    steps = _steps(v)
+    reps = [rep for rep, _ in steps] + [v.oracle.identity]
+    return reps[0], [(sign, r) for (_, sign), r in zip(steps, reps[1:])]
+
+
+def _steps(v: VertexLabel) -> list[tuple[object, int]]:
+    """The steps of v's path, from the base vertex down, by one climb."""
+    steps = []
+    while v.parent is not None:
+        steps.append(v.last_step)
+        v = v.parent
+    steps.reverse()
+    return steps
 
 
 @dataclass(frozen=True)
@@ -154,11 +248,13 @@ class EdgeRef:
 
 
 def base_vertex(oracle: BaseOracle) -> VertexLabel:
-    return VertexLabel(oracle, ())
+    v = _new(VertexLabel)
+    v.oracle, v.parent, v.last_step, v.depth, v._hash = oracle, None, _BASE_STEP, 0, _BASE_HASH
+    return v
 
 
 def label_str(v: VertexLabel) -> str:
-    return "1" if not v.path else format_word(v.word())
+    return "1" if not v.depth else format_word(v.word())
 
 
 def neighbors(v: VertexLabel) -> list[EdgeRef]:
@@ -169,50 +265,72 @@ def neighbors(v: VertexLabel) -> list[EdgeRef]:
     return edges
 
 
-def _walk(oracle: BaseOracle, path: tuple, x, tail) -> tuple[tuple, object]:
-    """The path of v x t^s1 l1 ... t^sk lk L, for the vertex v of ``path``
-    and the tokens ``(s_i, l_i)`` of ``tail``, reduced or not, and the base
-    element left over.  At each t^s, x splits into a left-coset
-    representative r, the step (r, s), and a subgroup part carried across
-    the letter (h t = t phi(h), k t^-1 = t^-1 phi^-1(k)); but where t^s' x t^s
-    is a pinch for the path's last step (r', s'), the walk pops that step
-    and r' times the unpinched element becomes x."""
+def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
+    """The label of v x t^s1 l1 ... t^sk lk L, for the tokens ``(s_i, l_i)``
+    of ``tail``, reduced or not, and the base element left over.  At each
+    t^s, x splits into a left-coset representative r, the step (r, s), and a
+    subgroup part carried across the letter (h t = t phi(h),
+    k t^-1 = t^-1 phi^-1(k)); but where t^s' x t^s is a pinch for the path's
+    last step (r', s'), the walk pops that step and r' times the unpinched
+    element becomes x.  A pop past the steps pushed so far is v's parent;
+    the pushed steps become cells only once the walk is done."""
+    oracle = v.oracle
     omul = oracle.mul
-    path = list(path)
+    pushed = []
+    last = v.last_step
     for sign, lam in tail:
-        y = _unpinch(oracle, path[-1][1], x, sign) if path else None
+        y = _unpinch(oracle, last[1], x, sign) if last[1] == -sign else None
         if y is not None:
-            x = omul(path.pop()[0], y)
+            x = omul(last[0], y)
+            if pushed:
+                pushed.pop()
+            else:
+                v = v.parent
+            last = pushed[-1] if pushed else v.last_step
         else:
             rep, s = oracle.decompose_right_H(x) if sign == 1 else oracle.decompose_right_K(x)
-            path.append((rep, sign))
+            last = (rep, sign)
+            pushed.append(last)
             x = oracle.phi(s) if sign == 1 else oracle.phi_inv(s)
         x = omul(x, lam)
-    return tuple(path), x
+    for step in pushed:
+        v = _child(v, step)
+    return v, x
 
 
 def to_vertex_label(g: HnnWord) -> VertexLabel:
     """Canonical label of the coset g L: the walk of g's tokens from the
     base vertex, reduced or not."""
-    return VertexLabel(g.oracle, _walk(g.oracle, (), g.head, g.tail)[0])
+    return _walk(base_vertex(g.oracle), g.head, g.tail)[0]
 
 
 def act(g: HnnWord, v: VertexLabel) -> VertexLabel:
-    """Left translation of the vertex g L by a group element: the walk of
-    g's tokens from the base vertex, continued by v's path word."""
-    w = v.word()
-    oracle = _same_oracle(g, w)
-    path, x = _walk(oracle, (), g.head, g.tail)
-    return VertexLabel(oracle, _walk(oracle, path, oracle.mul(x, w.head), w.tail)[0])
+    """Left translation of the vertex g L by a group element: one walk from
+    the base vertex over g's tokens joined to the tokens of v's path word
+    ``r_1 t^s_1 ... r_k t^s_k``, whose head r_1 joins g's last token."""
+    oracle = _same_oracle(g, v)
+    head, tokens = _path_tokens(v)
+    if not g.tail:
+        return _walk(base_vertex(oracle), oracle.mul(g.head, head), tokens)[0]
+    *body, (sign, lam) = g.tail
+    tokens = chain(body, ((sign, oracle.mul(lam, head)),), tokens)
+    return _walk(base_vertex(oracle), g.head, tokens)[0]
 
 
 def _common_prefix(u: VertexLabel, v: VertexLabel) -> int:
-    """Length of the longest common prefix of the two paths."""
-    common = 0
-    for a, b in zip(u.path, v.path):
-        if a != b:
-            break
-        common += 1
+    """Length of the longest common prefix of the two paths: the deeper
+    label climbs to the other's depth, then both climb together, until they
+    reach one shared cell or the base vertex, and the highest step where
+    they differ ends the prefix."""
+    while u.depth > v.depth:
+        u = u.parent
+    while v.depth > u.depth:
+        v = v.parent
+    common = u.depth
+    while u is not v and u.parent is not None:
+        if u.last_step != v.last_step:
+            common = u.depth - 1
+        u, v = u.parent, v.parent
     return common
 
 
@@ -221,7 +339,7 @@ def distance(u: VertexLabel, v: VertexLabel) -> int:
     if u.oracle != v.oracle:
         raise ValueError("labels belong to different oracles")
     common = _common_prefix(u, v)
-    return (len(u.path) - common) + (len(v.path) - common)
+    return (u.depth - common) + (v.depth - common)
 
 
 def _backtracks(oracle: BaseOracle, last_sign: int, rep, sign: int) -> bool:
@@ -260,8 +378,8 @@ def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
     child, and its walk from the base vertex has three classes.
 
     Returns a table from each class met to its fixed children as
-    ``((step,), class)`` pairs in the order of :func:`_child_steps`, each
-    step as a one-step path that extends paths without a new tuple, and a
+    ``(step, class)`` pairs in the order of :func:`_child_steps`, each step
+    the table's own ``(rep, sign)`` tuple, which every child cell shares, and a
     generator of the levels from v's depth down, each a dict from class to
     its number of vertices on the level.  The generator stops at the radius
     or after the last nonempty level, and fills the table as it goes, so a
@@ -281,10 +399,11 @@ def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
                 if key not in children:
                     x, last = key
                     kids = children[key] = []
-                    for rep, sign in _child_steps(oracle)[last]:
+                    for step in _child_steps(oracle)[last]:
+                        rep, sign = step
                         y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
                         if y is not None:
-                            kids.append((((rep, sign),), (y, sign)))
+                            kids.append((step, (y, sign)))
                 for _, child in children[key]:
                     nxt[child] = nxt.get(child, 0) + count
             if not nxt:
@@ -299,10 +418,10 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
     """The vertices of ``_class_levels`` within the radius, in BFS order.
 
     The levels are counted first, and a walk past the vertex or path-step
-    limit is refused before any path is built: on a tree of degree 2 a
-    million vertices have paths of up to half a million steps each.  Then
-    each level's paths are extended by the fixed children of their classes,
-    and each returned vertex gets one label."""
+    limit is refused before any label is built: on a tree of degree 2 a
+    million vertices have paths of up to half a million steps each, which
+    ``fixed`` and ``tree-dot`` would print.  Then each vertex of a level
+    gets one cell per fixed child of its class, a child of its own."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     children, levels = _class_levels(oracle, path, c, radius)
@@ -318,11 +437,11 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
             )
     if not vertices:
         return []
-    level = [(path, (c, path[-1][1] if path else 0))]
-    labels = [VertexLabel(oracle, path)]
+    labels = [_label(oracle, path)]
+    level = [(labels[0], (c, path[-1][1] if path else 0))]
     for _ in range(len(path), depth):
-        level = [(p + suffix, child) for p, key in level for suffix, child in children[key]]
-        labels += [VertexLabel(oracle, p) for p, _ in level]
+        level = [(_child(v, step), child) for v, key in level for step, child in children[key]]
+        labels += [v for v, _ in level]
     return labels
 
 
@@ -381,7 +500,7 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     path, _, tail = _descend(gamma, radius)
-    return len(tail), VertexLabel(gamma.oracle, path)
+    return len(tail), _label(gamma.oracle, path)
 
 
 @dataclass(frozen=True)
@@ -404,12 +523,12 @@ def _axis_labels(conj: HnnWord, word: HnnWord) -> Iterator[VertexLabel]:
     oracle = word.oracle
     *body, (sign, lam) = word.tail
     period = (*body, (sign, oracle.mul(lam, word.head)))
-    path, x = _walk(oracle, (), conj.head, conj.tail)
+    v, x = _walk(base_vertex(oracle), conj.head, conj.tail)
     x = oracle.mul(x, word.head)
-    yield VertexLabel(oracle, path)
+    yield v
     for token in cycle(period):
-        path, x = _walk(oracle, path, x, (token,))
-        yield VertexLabel(oracle, path)
+        v, x = _walk(v, x, (token,))
+        yield v
 
 
 def classify(gamma: HnnWord) -> IsometryClass:
@@ -448,8 +567,8 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     base vertex is complete.  The descent finds that vertex, and the class
     walk that ``ball`` also runs (see ``_class_levels``) goes down from it:
     it counts the fixed set exactly first, and refuses one past the vertex
-    or path-step limit before any path is built.  Only returned vertices get
-    a label."""
+    or path-step limit before any label is built.  Only returned vertices
+    get a cell."""
     oracle = gamma.oracle
     # the descent stops at the projection of the base vertex onto Min gamma,
     # which for an elliptic gamma is the fixed subtree; its parent is not
@@ -491,10 +610,17 @@ def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int],
 
 
 def _geodesic(u: VertexLabel, v: VertexLabel) -> list[VertexLabel]:
+    """The vertices from u to v: u's cells up to the common prefix, then
+    v's from there down."""
     common = _common_prefix(u, v)
-    up = [VertexLabel(u.oracle, u.path[:k]) for k in range(len(u.path), common, -1)]
-    down = [VertexLabel(u.oracle, v.path[:k]) for k in range(common, len(v.path) + 1)]
-    return up + down
+    up, down = [], []
+    while u.depth > common:
+        up.append(u)
+        u = u.parent
+    while v.depth > common:
+        down.append(v)
+        v = v.parent
+    return up + [v] + down[::-1]
 
 
 def center(labels: Iterable[VertexLabel]) -> VertexLabel:
@@ -590,18 +716,18 @@ def tree_dot(oracle: BaseOracle, radius: int, gamma: Optional[HnnWord] = None) -
     edges within the ball, and optionally dashed edges v -> gamma v.  Each
     label is formatted once."""
     vs = ball(oracle, radius)
-    names = {v.path: label_str(v) for v in vs}
+    names = {v: label_str(v) for v in vs}
     lines = ["digraph bass_serre_ball {"]
     lines += [f'  "{name}";' for name in names.values()]
     for v in vs:
         for rep in oracle.h_transversal():
-            target = v.step(rep, 1).path
+            target = v.step(rep, 1)
             if target in names:
-                lines.append(f'  "{names[v.path]}" -> "{names[target]}";')
+                lines.append(f'  "{names[v]}" -> "{names[target]}";')
     if gamma is not None:
         for v in vs:
-            target = act(gamma, v).path
+            target = act(gamma, v)
             if target in names:
-                lines.append(f'  "{names[v.path]}" -> "{names[target]}" [style=dashed];')
+                lines.append(f'  "{names[v]}" -> "{names[target]}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

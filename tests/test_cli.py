@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hnnkit import tree
 from hnnkit.cli import main
 
 # the CLI calls the benchmark records, with their exit codes and stdout
@@ -130,6 +131,17 @@ def test_escape_nonpositive_max_exit_1(capsys):
     code, out, err = run(capsys, "--m", "2", "--n", "3", "escape", "b", "--max", "0")
     assert code == 1 and out == ""
     assert err == "error: n_max must be >= 1\n"
+
+
+def test_memory_error_exit_1(capsys, monkeypatch):
+    # a request that exhausts memory ends with one line on stderr, not a
+    # traceback; the subcommand is patched to raise, so nothing large is built
+    def exhausted(gamma):
+        raise MemoryError
+
+    monkeypatch.setattr(tree, "classify", exhausted)
+    code, out, err = run(capsys, "--m", "2", "--n", "3", "classify", "a b")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_parse_error_exit_1(capsys):

@@ -165,6 +165,24 @@ def test_one_walk_moves_a_vertex():
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_backtracks")) == []
 
 
+def test_labels_build_their_path_only_on_request():
+    # a vertex label is a cons cell of its parent and its last step: in
+    # tree.py only the path property reads a label's path, so no walk,
+    # distance or equality copies a path per label
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["tree.py"]
+    label = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "VertexLabel")
+    prop = next(node for node in label.body if isinstance(node, ast.FunctionDef) and node.name == "path")
+    inside = {id(node) for node in ast.walk(prop)}
+    found = [
+        f"tree.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "path" and id(node) not in inside
+    ]
+    assert found == []
+    assert [getattr(d, "id", None) for d in prop.decorator_list] == ["property"]
+    assert "path" not in hnnkit.VertexLabel.__slots__
+
+
 def test_zd_eliminates_in_integers_only():
     # determinants, ranks and fixed vectors come from zd._echelon, never
     # from rational arithmetic
