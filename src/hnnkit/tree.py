@@ -106,9 +106,10 @@ class TrivialElementError(ValueError):
 
 
 # the step and hash of the base vertex: no representative, and the sign 0
-# by which the child-step table keys it
+# by which the child-step table keys it; the hash is the empty tuple's,
+# which, unlike None's, is the same in every process
 _BASE_STEP = (None, 0)
-_BASE_HASH = hash(_BASE_STEP)
+_BASE_HASH = hash(())
 _new = object.__new__
 
 
@@ -173,7 +174,8 @@ class VertexLabel:
                 return False
             u, v = u.parent, v.parent
         # equal: self's chain takes other's cells, which hold the same
-        # steps, so that the next comparison of the two chains stops at once
+        # steps, so that the next comparison of the two chains stops at once;
+        # each parent is replaced by an equal label, so no label changes
         u, v = self, other
         while u is not v and u.parent is not None:
             up = u.parent

@@ -151,20 +151,13 @@ def _base_elements(oracle) -> list:
     return list(itertools.product(range(-1, 2), repeat=oracle.dim)) + [(2, 0), (0, 2), (8, -4), (6, 6)]
 
 
-def _limited_probe(x: HnnWord, radii: tuple):
-    saved, calculus._LIMITS["normal forms"] = calculus._LIMITS["normal forms"], PROBE_LIMIT
+def _limited(unit: str, limit: int, fn, *args):
+    """``fn(*args)`` with the ``calculus._LIMITS`` entry of ``unit`` lowered."""
+    saved, calculus._LIMITS[unit] = calculus._LIMITS[unit], limit
     try:
-        return icc_probe_orbit(x, radii)
+        return fn(*args)
     finally:
-        calculus._LIMITS["normal forms"] = saved
-
-
-def _limited_delta(gamma: HnnWord, radius: int):
-    saved, calculus._LIMITS["vertices"] = calculus._LIMITS["vertices"], DEEP_VERTEX_LIMIT
-    try:
-        return delta(gamma, radius)
-    finally:
-        calculus._LIMITS["vertices"] = saved
+        calculus._LIMITS[unit] = saved
 
 
 def _witness_family(m: int, n: int):
@@ -210,7 +203,8 @@ def _oracle_records(name: str, oracle, add) -> None:
             for radii in PROBE_RADII:
                 add("icc_probe_orbit", outcome(icc_probe_orbit, w, radii))
             for radii in LIMITED_PROBE_RADII:
-                add(f"icc_probe_orbit limit {PROBE_LIMIT}", outcome(_limited_probe, w, radii))
+                add(f"icc_probe_orbit limit {PROBE_LIMIT}", outcome(
+                    _limited, "normal forms", PROBE_LIMIT, icc_probe_orbit, w, radii))
     for candidate in _finite_class_sets(oracle, words):
         add("verify_finite_class", outcome(verify_finite_class, oracle, candidate))
     for r in range(4):
@@ -419,7 +413,8 @@ def _deep_records(name: str, oracle, add) -> None:
         for x in _base_elements(oracle)[1:4]:
             conjugate = _join(oracle, g, HnnWord(oracle, x), _formal_inverse(oracle, g))
             for r in (depth - 1, depth + 3):
-                add(f"deep delta limit {DEEP_VERTEX_LIMIT}", outcome(_limited_delta, conjugate, r))
+                add(f"deep delta limit {DEEP_VERTEX_LIMIT}", outcome(
+                    _limited, "vertices", DEEP_VERTEX_LIMIT, delta, conjugate, r))
     if len(ball(oracle, 1)) == 3:
         # a line: the class walk reaches depth 60 with 121 vertices
         line = set(ball(oracle, 60))
