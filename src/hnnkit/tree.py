@@ -118,26 +118,48 @@ class VertexLabel:
 
     The path's entries are (representative, sign): a step (r, +1) crosses
     the outgoing edge g r H, a step (r, -1) the incoming edge g r t^-1
-    K-side.  A label holds its ``parent`` (the label of the path less its
-    last step, None at the base vertex), that ``last_step`` ((None, 0) at the
-    base vertex), its ``depth`` (the path length, which is the distance to
-    the base vertex) and a hash made once from the parent's hash and the
-    step.  ``path`` builds the tuple of steps by one climb.
+    K-side.  A label holds its ``oracle``, its ``parent`` (the label of the
+    path less its last step, None at the base vertex), that last step, its
+    ``depth`` (the path length, which is the distance to the base vertex)
+    and a hash made once from the parent's hash and the step.  The fields
+    are read-only, as the hash depends on them.  ``path`` builds the tuple
+    of steps by one climb.
 
     ``VertexLabel(oracle, path)`` builds the cells of a path; the walks
     build one cell per step they return.  Labels compare by value: equal
     paths over equal oracles are equal labels and hash equal, whatever
     built them.  Two equal labels of different chains are found equal by
-    one climb, after which the first shares the second's cells, so that
-    comparing more labels of the two chains, as a set intersection does,
-    costs O(1) each."""
+    one climb, after which the right operand shares the left one's cells,
+    so that comparing more labels of the two chains, as a set intersection
+    does, costs O(1) each.  A dict or set lookup compares its stored key on
+    the left, so a probe built for the lookup moves onto the stored cells
+    and leaves its own chain to be freed."""
 
-    __slots__ = ("oracle", "parent", "last_step", "depth", "_hash")
+    __slots__ = ("_oracle", "_parent", "_step", "_depth", "_hash")
 
     def __init__(self, oracle: BaseOracle, path: tuple[tuple[object, int], ...] = ()):
-        v = _label(oracle, path)
-        self.oracle, self.parent, self.last_step, self.depth, self._hash = (
-            oracle, v.parent, v.last_step, v.depth, v._hash)
+        path = tuple(path)
+        if not path:
+            self._oracle, self._parent, self._step, self._depth, self._hash = (
+                oracle, None, _BASE_STEP, 0, _BASE_HASH)
+            return
+        parent, step = _label(oracle, path[:-1]), path[-1]
+        self._oracle, self._parent, self._step, self._depth, self._hash = (
+            oracle, parent, step, parent._depth + 1, hash((parent._hash, step)))
+
+    @property
+    def oracle(self) -> BaseOracle:
+        return self._oracle
+
+    @property
+    def parent(self) -> Optional["VertexLabel"]:
+        """The label of the path less its last step, None at the base vertex."""
+        return self._parent
+
+    @property
+    def depth(self) -> int:
+        """The path length, which is the distance to the base vertex."""
+        return self._depth
 
     @property
     def path(self) -> tuple[tuple[object, int], ...]:
@@ -150,12 +172,12 @@ class VertexLabel:
         representative lies in its subgroup only when it is the identity,
         and an identity step against the previous sign would backtrack."""
         head, tokens = _path_tokens(self)
-        return _reduced_word(self.oracle, head, tuple(tokens))
+        return _reduced_word(self._oracle, head, tuple(tokens))
 
     def step(self, rep, sign: int) -> "VertexLabel":
         """Move across the edge of ``rep t^sign``: any base element names
         the edge of its coset, and a step back pops to the parent."""
-        return _walk(self, rep, ((sign, self.oracle.identity),))[0]
+        return _walk(self, rep, ((sign, self._oracle.identity),))[0]
 
     def __eq__(self, other) -> bool:
         # hash and depth first, then a climb until both sides reach one
@@ -163,24 +185,24 @@ class VertexLabel:
         if not isinstance(other, VertexLabel):
             return NotImplemented
         u, v = self, other
-        if u._hash != v._hash or u.depth != v.depth:
+        if u._hash != v._hash or u._depth != v._depth:
             return False
         while u is not v:
-            if u.parent is None:
-                if u.oracle != v.oracle:
+            if u._parent is None:
+                if u._oracle != v._oracle:
                     return False
                 break
-            if u.last_step != v.last_step:
+            if u._step != v._step:
                 return False
-            u, v = u.parent, v.parent
-        # equal: self's chain takes other's cells, which hold the same
-        # steps, so that the next comparison of the two chains stops at once;
-        # each parent is replaced by an equal label, so no label changes
+            u, v = u._parent, v._parent
+        # equal: other's chain takes self's cells, which hold the same steps,
+        # so that the next comparison of the two chains stops at once; each
+        # parent is replaced by an equal label, so no label changes
         u, v = self, other
-        while u is not v and u.parent is not None:
-            up = u.parent
-            u.parent = v.parent
-            u, v = up, v.parent
+        while u is not v and v._parent is not None:
+            vp = v._parent
+            v._parent = u._parent
+            u, v = u._parent, vp
         return True
 
     def __hash__(self) -> int:
@@ -189,10 +211,10 @@ class VertexLabel:
     def __reduce__(self):
         # the path, not the chain of cells, which would pickle and copy
         # one nested call per step
-        return type(self), (self.oracle, tuple(_steps(self)))
+        return type(self), (self._oracle, tuple(_steps(self)))
 
     def __repr__(self) -> str:
-        return f"VertexLabel(oracle={self.oracle!r}, path={tuple(_steps(self))!r})"
+        return f"VertexLabel(oracle={self._oracle!r}, path={tuple(_steps(self))!r})"
 
     def __str__(self) -> str:
         return label_str(self)
@@ -201,10 +223,10 @@ class VertexLabel:
 def _child(parent: VertexLabel, step: tuple[object, int]) -> VertexLabel:
     """The cell of ``parent``'s path extended by ``step``."""
     v = _new(VertexLabel)
-    v.oracle = parent.oracle
-    v.parent = parent
-    v.last_step = step
-    v.depth = parent.depth + 1
+    v._oracle = parent._oracle
+    v._parent = parent
+    v._step = step
+    v._depth = parent._depth + 1
     v._hash = hash((parent._hash, step))
     return v
 
@@ -221,16 +243,16 @@ def _path_tokens(v: VertexLabel) -> tuple[object, list[tuple[int, object]]]:
     """The head r_1 and the tokens (s_i, r_i+1) of v's path word
     r_1 t^s_1 ... r_k t^s_k, with r_k+1 the identity."""
     steps = _steps(v)
-    reps = [rep for rep, _ in steps] + [v.oracle.identity]
+    reps = [rep for rep, _ in steps] + [v._oracle.identity]
     return reps[0], [(sign, r) for (_, sign), r in zip(steps, reps[1:])]
 
 
 def _steps(v: VertexLabel) -> list[tuple[object, int]]:
     """The steps of v's path, from the base vertex down, by one climb."""
     steps = []
-    while v.parent is not None:
-        steps.append(v.last_step)
-        v = v.parent
+    while v._parent is not None:
+        steps.append(v._step)
+        v = v._parent
     steps.reverse()
     return steps
 
@@ -251,17 +273,17 @@ class EdgeRef:
 
 def base_vertex(oracle: BaseOracle) -> VertexLabel:
     v = _new(VertexLabel)
-    v.oracle, v.parent, v.last_step, v.depth, v._hash = oracle, None, _BASE_STEP, 0, _BASE_HASH
+    v._oracle, v._parent, v._step, v._depth, v._hash = oracle, None, _BASE_STEP, 0, _BASE_HASH
     return v
 
 
 def label_str(v: VertexLabel) -> str:
-    return "1" if not v.depth else format_word(v.word())
+    return "1" if not v._depth else format_word(v.word())
 
 
 def neighbors(v: VertexLabel) -> list[EdgeRef]:
     """[L:H] outgoing then [L:K] incoming edges, in transversal order."""
-    oracle = v.oracle
+    oracle = v._oracle
     edges = [EdgeRef(v, rep, 1) for rep in oracle.h_transversal()]
     edges += [EdgeRef(v, rep, -1) for rep in oracle.k_transversal()]
     return edges
@@ -276,10 +298,10 @@ def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
     last step (r', s'), the walk pops that step and r' times the unpinched
     element becomes x.  A pop past the steps pushed so far is v's parent;
     the pushed steps become cells only once the walk is done."""
-    oracle = v.oracle
+    oracle = v._oracle
     omul = oracle.mul
     pushed = []
-    last = v.last_step
+    last = v._step
     for sign, lam in tail:
         y = _unpinch(oracle, last[1], x, sign) if last[1] == -sign else None
         if y is not None:
@@ -287,8 +309,8 @@ def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
             if pushed:
                 pushed.pop()
             else:
-                v = v.parent
-            last = pushed[-1] if pushed else v.last_step
+                v = v._parent
+            last = pushed[-1] if pushed else v._step
         else:
             rep, s = oracle.decompose_right_H(x) if sign == 1 else oracle.decompose_right_K(x)
             last = (rep, sign)
@@ -324,24 +346,24 @@ def _common_prefix(u: VertexLabel, v: VertexLabel) -> int:
     label climbs to the other's depth, then both climb together, until they
     reach one shared cell or the base vertex, and the highest step where
     they differ ends the prefix."""
-    while u.depth > v.depth:
-        u = u.parent
-    while v.depth > u.depth:
-        v = v.parent
-    common = u.depth
-    while u is not v and u.parent is not None:
-        if u.last_step != v.last_step:
-            common = u.depth - 1
-        u, v = u.parent, v.parent
+    while u._depth > v._depth:
+        u = u._parent
+    while v._depth > u._depth:
+        v = v._parent
+    common = u._depth
+    while u is not v and u._parent is not None:
+        if u._step != v._step:
+            common = u._depth - 1
+        u, v = u._parent, v._parent
     return common
 
 
 def distance(u: VertexLabel, v: VertexLabel) -> int:
     """Tree metric: strip the longest common prefix, add remaining lengths."""
-    if u.oracle != v.oracle:
+    if u._oracle != v._oracle:
         raise ValueError("labels belong to different oracles")
     common = _common_prefix(u, v)
-    return (u.depth - common) + (v.depth - common)
+    return (u._depth - common) + (v._depth - common)
 
 
 def _backtracks(oracle: BaseOracle, last_sign: int, rep, sign: int) -> bool:
@@ -551,7 +573,7 @@ def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord, periods: int = 3) ->
     tl = len(core.tail)
     sample = tuple(islice(_axis_labels(conj, core), 1 + periods * tl)) if tl else (to_vertex_label(conj),)
     if distance(sample[0], sample[-1]) != periods * tl or any(
-        act(gamma, sample[i]) != sample[i + tl] for i in {0, tl, (periods - 1) * tl}
+        sample[i + tl] != act(gamma, sample[i]) for i in {0, tl, (periods - 1) * tl}
     ):
         raise VerificationError("gamma must move its sample along itself by the translation length")
     if not tl:
@@ -579,7 +601,7 @@ def fixed_subtree(gamma: HnnWord, radius: int) -> tuple[frozenset[VertexLabel], 
     if tail:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
     fixed = _class_walk(oracle, entry, c, radius, "the fixed subtree")
-    return frozenset(fixed), bool(fixed) and fixed[-1].depth == radius
+    return frozenset(fixed), bool(fixed) and fixed[-1]._depth == radius
 
 
 def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int], VertexLabel]]:
@@ -606,7 +628,7 @@ def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int],
     origin = base_vertex(oracle)
     for l in range(6):
         v = family(l)
-        if act(gamma, v) != v or distance(origin, v) != len(step) * l:
+        if v != act(gamma, v) or distance(origin, v) != len(step) * l:
             raise VerificationError(f"unbounded fixed family fails at index {l}")
     return gamma, family
 
@@ -616,12 +638,12 @@ def _geodesic(u: VertexLabel, v: VertexLabel) -> list[VertexLabel]:
     v's from there down."""
     common = _common_prefix(u, v)
     up, down = [], []
-    while u.depth > common:
+    while u._depth > common:
         up.append(u)
-        u = u.parent
-    while v.depth > common:
+        u = u._parent
+    while v._depth > common:
         down.append(v)
-        v = v.parent
+        v = v._parent
     return up + [v] + down[::-1]
 
 
@@ -706,10 +728,10 @@ def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
             raise NotHyperbolicError("axes exist only for hyperbolic elements")
         forward = _axis_labels(conj, core)
         start = next(forward)
-        count = (-(-(radius + start.depth) // len(core.tail)) + 1) * len(core.tail)
+        count = (-(-(radius + start._depth) // len(core.tail)) + 1) * len(core.tail)
         pts = {start, *islice(forward, count)}
         pts.update(islice(_axis_labels(conj, inv(core)), 1, count + 1))
-        sets.append({v for v in pts if v.depth <= radius})
+        sets.append({v for v in pts if v._depth <= radius})
     return len(sets[0] & sets[1])
 
 

@@ -7,6 +7,7 @@ import pickle
 import tracemalloc
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +26,9 @@ from hnnkit import (
     mul,
     parse_word,
     to_vertex_label,
+    tree_dot,
 )
-from hnnkit import tree
+from hnnkit import calculus, cli, tree
 
 # BS(2,3) has degree 5, BS(1,2) degree 3, and the Z^2 extension by a
 # matrix of determinant 1 is a line
@@ -96,19 +98,100 @@ def test_equal_hashes_do_not_make_labels_equal(bs23):
     assert u != w and w != u
 
 
+def count_cells(monkeypatch, cap=5000):
+    """Count the cells built, at the base vertex and by ``_child``, and fail
+    the test past ``cap`` of them, or past ``cap`` levels of the class walk,
+    so that a broken refusal stops after a few thousand vertices instead of
+    running on to the oversized request.  Returns the list of cells' steps."""
+    built = []
+
+    def counted(real):
+        def build(*args):
+            built.append(args[-1])
+            if len(built) > cap:
+                pytest.fail("an oversized walk was enumerated")
+            return real(*args)
+
+        return build
+
+    real_levels = tree._class_levels
+
+    def capped(*args):
+        children, levels = real_levels(*args)
+
+        def guarded():
+            for i, level in enumerate(levels):
+                if i > cap:
+                    pytest.fail("an oversized walk was counted")
+                yield level
+
+        return children, guarded()
+
+    monkeypatch.setattr(tree, "_child", counted(tree._child))
+    monkeypatch.setattr(tree, "base_vertex", counted(tree.base_vertex))
+    monkeypatch.setattr(tree, "_class_levels", capped)
+    return built
+
+
 def test_class_walk_builds_one_cell_per_vertex(bs23, monkeypatch):
     # a vertex of the ball or the fixed subtree costs one cell, a child of
     # its parent's, and the entry of the fixed subtree one per step
-    built = []
-    real = tree._child
-    monkeypatch.setattr(tree, "_child", lambda parent, step: built.append(step) or real(parent, step))
+    built = count_cells(monkeypatch)
     vs = ball(bs23, 4)
-    assert len(built) == len(vs) - 1
+    assert len(built) == len(vs) == 426
+    built.clear()
+    fixed, touches = fixed_subtree(parse_word(bs23, "b^6"), 4)
+    assert touches and len(fixed) > 20
+    assert len(built) == len(fixed)
     built.clear()
     fixed, _ = fixed_subtree(parse_word(bs23, "a b a b a b^6 a^-1 b^-1 a^-1 b^-1 a^-1"), 6)
     entry = min(v.depth for v in fixed)
     assert entry == 2 and len(fixed) > 20
-    assert len(built) == len(fixed) - 1 + entry
+    assert len(built) == len(fixed) + entry
+
+
+def test_refusals_build_no_cell(monkeypatch, capsys):
+    # every refused ball and fixed subtree is refused before its first cell,
+    # at the limits in force and at lowered ones
+    bs23, line, b6 = make_bs(2, 3), make_zd(((2, 1), (1, 1))), parse_word(make_bs(6, 6), "b^6")
+    built = count_cells(monkeypatch)
+    refused = [(ball, bs23, 10), (ball, bs23, 10**9), (ball, line, 3162), (ball, line, 499_999),
+               (ball, line, 10**6), (ball, make_bs(1, 2), 18), (fixed_subtree, b6, 8)]
+    for walk, arg, radius in refused:
+        with pytest.raises(ValueError, match=f"radius {radius} holds more than"):
+            walk(arg, radius)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 1000)
+    monkeypatch.setitem(calculus._LIMITS, "path steps", 10_000)
+    for walk, arg, radius in [(ball, bs23, 5), (ball, line, 100), (fixed_subtree, b6, 3)]:
+        with pytest.raises(ValueError, match=f"radius {radius} holds more than"):
+            walk(arg, radius)
+    for argv in (["--m", "2", "--n", "3", "tree-dot", "--radius", "5"],
+                 ["--m", "6", "--n", "6", "fixed", "b^6", "--radius", "3"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    assert built == []
+    # the count sees the cells of what is admitted
+    assert len(ball(bs23, 4)) == len(built) == 426
+
+
+def test_lookups_leave_stored_labels_on_their_cells(bs23):
+    # a dict or set compares its stored key on the left: the probe moves
+    # onto the stored cells, and its own chain is freed with it
+    vs = ball(bs23, 6)
+    stored = set(vs)
+    parents = [v.parent for v in vs]
+    g = parse_word(bs23, "b")
+    tracemalloc.start()
+    try:
+        assert all(act(g, v) in stored for v in vs)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(v.parent is p for v, p in zip(vs, parents))
+    assert kept < 64 * 1024
+    probe = act(g, vs[-1])
+    match = next(v for v in vs if v == probe)
+    assert probe.parent is match.parent
 
 
 def test_deep_labels_pickle_and_copy_by_their_path(bs23):
@@ -137,3 +220,11 @@ def test_axis_memory_is_linear(bs23):
     g = parse_word(bs23, "a b")
     small, large = (traced_peak(axes_overlap, g, g, r) for r in (1000, 2000))
     assert large < 2.5 * small
+
+
+def test_tree_dot_memory_stays_near_the_dot_without_gamma(bs23):
+    # the dashed edges cost their lines, not a chain of cells per matched
+    # vertex, which labels kept when a lookup moved the stored key instead
+    plain = traced_peak(tree_dot, bs23, 6)
+    for text in ("b", "b^6", "a b a^-1"):
+        assert traced_peak(tree_dot, bs23, 6, parse_word(bs23, text)) < 1.75 * plain, text
