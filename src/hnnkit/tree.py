@@ -17,7 +17,9 @@ across the stable letter, and pops back to the parent where the word leads
 back; the steps it pushes become cells only if it returns them.  The
 enumerations (``ball``, ``fixed_subtree`` and the descent to Min gamma) step
 through one child-step table instead, and the class walk gives each vertex it
-returns one cell, a child of its parent's.
+returns one cell, a child of its parent's.  Only ``base_vertex`` and
+``_child`` make cells; the public constructor is a walk of ``_child`` steps
+checked against the table.
 
 ``ball`` and ``fixed_subtree`` are one walk over a fixed set, by classes of
 vertices, not by vertices: whether a child of a fixed vertex v is fixed
@@ -125,8 +127,11 @@ class VertexLabel:
     are read-only, as the hash depends on them.  ``path`` builds the tuple
     of steps by one climb.
 
-    ``VertexLabel(oracle, path)`` builds the cells of a path; the walks
-    build one cell per step they return.  Labels compare by value: equal
+    ``VertexLabel(oracle, path)`` builds the cells of a path, one
+    ``_child`` per step from a new base vertex, and refuses a step that is
+    not a child step: equality and ``distance`` compare paths, so a second
+    path to a vertex would name another.  The walks build one cell per step
+    they return.  Labels compare by value: equal
     paths over equal oracles are equal labels and hash equal, whatever
     built them.  Two equal labels of different chains are found equal by
     one climb, after which the right operand shares the left one's cells,
@@ -137,15 +142,15 @@ class VertexLabel:
 
     __slots__ = ("_oracle", "_parent", "_step", "_depth", "_hash")
 
-    def __init__(self, oracle: BaseOracle, path: tuple[tuple[object, int], ...] = ()):
-        path = tuple(path)
-        if not path:
-            self._oracle, self._parent, self._step, self._depth, self._hash = (
-                oracle, None, _BASE_STEP, 0, _BASE_HASH)
-            return
-        parent, step = _label(oracle, path[:-1]), path[-1]
-        self._oracle, self._parent, self._step, self._depth, self._hash = (
-            oracle, parent, step, parent._depth + 1, hash((parent._hash, step)))
+    def __new__(cls, oracle: BaseOracle, path: tuple[tuple[object, int], ...] = ()):
+        v = base_vertex(oracle)
+        if path:
+            table = _child_steps(oracle)
+            for step in path:
+                if step not in table[v._step[1]]:
+                    raise ValueError(f"{step!r} is not a child step at depth {v._depth}")
+                v = _child(v, step)
+        return v
 
     @property
     def oracle(self) -> BaseOracle:
@@ -231,14 +236,6 @@ def _child(parent: VertexLabel, step: tuple[object, int]) -> VertexLabel:
     return v
 
 
-def _label(oracle: BaseOracle, path) -> VertexLabel:
-    """The cells of a path of steps, from a new base vertex down."""
-    v = base_vertex(oracle)
-    for step in path:
-        v = _child(v, step)
-    return v
-
-
 def _path_tokens(v: VertexLabel) -> tuple[object, list[tuple[int, object]]]:
     """The head r_1 and the tokens (s_i, r_i+1) of v's path word
     r_1 t^s_1 ... r_k t^s_k, with r_k+1 the identity."""
@@ -282,11 +279,9 @@ def label_str(v: VertexLabel) -> str:
 
 
 def neighbors(v: VertexLabel) -> list[EdgeRef]:
-    """[L:H] outgoing then [L:K] incoming edges, in transversal order."""
-    oracle = v._oracle
-    edges = [EdgeRef(v, rep, 1) for rep in oracle.h_transversal()]
-    edges += [EdgeRef(v, rep, -1) for rep in oracle.k_transversal()]
-    return edges
+    """[L:H] outgoing then [L:K] incoming edges, in the order of the base
+    vertex's row of the child-step table, where no step backtracks."""
+    return [EdgeRef(v, rep, sign) for rep, sign in _child_steps(v._oracle)[0]]
 
 
 def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
@@ -375,9 +370,11 @@ def _backtracks(oracle: BaseOracle, last_sign: int, rep, sign: int) -> bool:
 @lru_cache(maxsize=64)
 def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
     """The steps ``(rep, sign)`` from a vertex to its children, keyed by the
-    sign of its last step (0 at the base vertex): the edges of
-    :func:`neighbors` in order, less the one that backtracks.  One table per
-    oracle, which every walk shares and only reads."""
+    sign of its last step (0 at the base vertex): ``(rep, 1)`` for each
+    ``h_transversal`` rep, then ``(rep, -1)`` for each ``k_transversal`` rep,
+    less the one that backtracks; the base vertex's row, less none, is the
+    edge order of :func:`neighbors`.  One table per oracle, which every walk
+    and the public constructor share and only read."""
     steps = [(rep, 1) for rep in oracle.h_transversal()]
     steps += [(rep, -1) for rep in oracle.k_transversal()]
     return {
@@ -461,7 +458,7 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
             )
     if not vertices:
         return []
-    labels = [_label(oracle, path)]
+    labels = [VertexLabel(oracle, path)]
     level = [(labels[0], (c, path[-1][1] if path else 0))]
     for _ in range(len(path), depth):
         level = [(_child(v, step), child) for v, key in level for step, child in children[key]]
@@ -524,7 +521,7 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     path, _, tail = _descend(gamma, radius)
-    return len(tail), _label(gamma.oracle, path)
+    return len(tail), VertexLabel(gamma.oracle, path)
 
 
 @dataclass(frozen=True)

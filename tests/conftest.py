@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from hnnkit import HnnWord, make_bs, make_zd
+from hnnkit import HnnWord, make_bs, make_zd, tree
 
 FUZZ_GROUPS = [(2, 3), (3, 2), (2, -2), (2, 2)]
 
@@ -44,3 +44,38 @@ def oracle_and_words(draw, count=1, max_syllables=4):
     oracle = draw(bs_oracles_strategy())
     words = tuple(draw(bs_word_strategy(oracle, max_syllables)) for _ in range(count))
     return (oracle, *words)
+
+
+def count_cells(monkeypatch, cap=5000):
+    """Count the cells built, at the base vertex and by ``_child``, and fail
+    the test past ``cap`` of them, or past ``cap`` levels of the class walk,
+    so that a broken refusal stops after a few thousand vertices instead of
+    running on to the oversized request.  Returns the list of cells' steps."""
+    built = []
+
+    def counted(real):
+        def build(*args):
+            built.append(args[-1])
+            if len(built) > cap:
+                pytest.fail("an oversized walk was enumerated")
+            return real(*args)
+
+        return build
+
+    real_levels = tree._class_levels
+
+    def capped(*args):
+        children, levels = real_levels(*args)
+
+        def guarded():
+            for i, level in enumerate(levels):
+                if i > cap:
+                    pytest.fail("an oversized walk was counted")
+                yield level
+
+        return children, guarded()
+
+    monkeypatch.setattr(tree, "_child", counted(tree._child))
+    monkeypatch.setattr(tree, "base_vertex", counted(tree.base_vertex))
+    monkeypatch.setattr(tree, "_class_levels", capped)
+    return built

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,10 @@ from hnnkit import analysis, calculus, cli
 from hnnkit import (
     DomainError,
     EMPIRICAL,
+    BsOracle,
+    BsParams,
     EscapeExhaustionError,
+    FolnerChain,
     HnnWord,
     HypothesisViolationError,
     ICC,
@@ -473,6 +477,47 @@ def test_folner_ascending_guards_non_ascending(bs23):
         folner_chain_ascending(bs23, 1, 2)
 
 
+class NoncentralBs(BsOracle):
+    """BS(m, n) that calls no base element central.  The base group of BS
+    and of Z^d is abelian, so only such an oracle fails the centrality check
+    of a chain."""
+
+    def is_central(self, x) -> bool:
+        return False
+
+
+# each chain breaks one condition, and the conditions before it hold
+BROKEN_CHAINS = {
+    "length": (make_bs(2, 3), (6,), True, "chain needs at least two elements"),
+    # phi(0) = 0, so a chain with a trivial element has no distinct elements
+    "trivial": (make_bs(2, 3), (0, 0), False, "h_0 is trivial"),
+    "central": (NoncentralBs(BsParams(2, 3)), (18, 12), True, "h_0 is not central"),
+    # BS(2,3) has H = 3Z, K = 2Z and phi(3k) = 2k
+    "H": (make_bs(2, 3), (6, 4), True, "h_1 is not in H"),
+    "K": (make_bs(2, 3), (9, 6), True, "h_0 is not in K"),
+    "phi": (make_bs(2, 3), (6, 12), True, "h_1 != phi(h_0)"),
+    # BS(2,2) has phi the identity on H = K = 2Z
+    "distinct": (make_bs(2, 2), (2, 2), True, "chain elements are not pairwise distinct"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_CHAINS)
+def test_folner_verify_refuses_each_broken_condition(case):
+    oracle, elements, require_distinct, message = BROKEN_CHAINS[case]
+    chain = FolnerChain(oracle, case, elements)
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        chain.verify(require_distinct)
+
+
+def test_folner_verify_relaxes_only_what_it_is_asked_to():
+    # the chains that break membership at an end, or distinctness, pass once
+    # that requirement is lifted, and the noncentral chain is a valid one
+    FolnerChain(make_bs(2, 3), "H", (6, 4)).verify(True, interior_only=True)
+    FolnerChain(make_bs(2, 3), "K", (9, 6)).verify(True, interior_only=True)
+    FolnerChain(make_bs(2, 2), "distinct", (2, 2)).verify(False)
+    FolnerChain(make_bs(2, 3), "central", (18, 12)).verify(True)
+
+
 # --- symmetric difference ratios ---------------------------------------------
 
 
@@ -507,6 +552,11 @@ def test_symdiff_bound_other_windows(bs23):
 def test_symdiff_requires_window(bs23):
     with pytest.raises(ValueError):
         symdiff_ratio(folner_chain_bs(2, 3, 1), base_word(bs23, 1))
+
+
+def test_symdiff_refuses_a_word_of_another_oracle():
+    with pytest.raises(ValueError, match="word belongs to a different oracle"):
+        symdiff_ratio(folner_chain_bs(2, 3, 4), base_word(make_bs(3, 2), 1))
 
 
 # --- escape exponents ---------------------------------------------------------
@@ -612,3 +662,21 @@ def test_escape_stops_early_with_the_same_answer():
 def test_escape_rejects_trivial(bs23):
     with pytest.raises(ValueError):
         escape_exponent([base_word(bs23, 0)], 5)
+
+
+def test_escape_returns_a_run_that_starts_at_n_max(bs23):
+    # a^-1 (a^2 b a^-2) a = a b a^-1 has no stable-letter sum and reads
+    # a ... a^-1, so the scan ends at n_max with its run just begun
+    words = [parse_word(bs23, "a^2 b a^-2")]
+    assert escape_exponent(words, 1) == reference_escape_exponent(words, 1) == 1
+
+
+def test_escape_refuses_empty_foreign_and_mixed_sets(bs23, zd_fib):
+    cases = [
+        ([], "F must be nonempty"),
+        ([base_word(zd_fib, (1, 0))], "escape exponents are implemented for BS oracles only"),
+        ([base_word(bs23, 1), base_word(make_bs(3, 2), 1)], "words belong to different oracles"),
+    ]
+    for words, message in cases:
+        with pytest.raises(ValueError, match=message):
+            escape_exponent(words, 5)

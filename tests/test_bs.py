@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnnkit import (
+    BaseOracle,
+    BsOracle,
     BsParams,
     dom_phi_j_closed_form,
     equals,
@@ -108,3 +110,19 @@ def test_phi_round_trips(oracle, k):
     assert oracle.phi_inv(image) == h
     kk = oracle.params.m * k
     assert oracle.phi(oracle.phi_inv(kk)) == kk
+
+
+class DefaultPowerBs(BsOracle):
+    """BS(m, n) that takes powers by BaseOracle's square-and-multiply, which
+    every shipped oracle overrides."""
+
+    power = BaseOracle.power
+
+
+def test_default_power_agrees_with_bs():
+    default, bs = DefaultPowerBs(BsParams(2, 3)), make_bs(2, 3)
+    for x in (0, 1, -1, 7):
+        for k in range(-9, 10):
+            assert default.power(x, k) == bs.power(x, k) == x * k
+    for text in ("b^-7 a b^12 a^-1 b^5", "b^6 a^3 b^-1 a^-2 b^9", "b b^-2 a b^0"):
+        assert parse_word(default, text).key() == parse_word(bs, text).key()

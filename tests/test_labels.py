@@ -28,7 +28,9 @@ from hnnkit import (
     to_vertex_label,
     tree_dot,
 )
-from hnnkit import calculus, cli, tree
+from hnnkit import calculus, cli
+
+from conftest import count_cells
 
 # BS(2,3) has degree 5, BS(1,2) degree 3, and the Z^2 extension by a
 # matrix of determinant 1 is a line
@@ -98,39 +100,25 @@ def test_equal_hashes_do_not_make_labels_equal(bs23):
     assert u != w and w != u
 
 
-def count_cells(monkeypatch, cap=5000):
-    """Count the cells built, at the base vertex and by ``_child``, and fail
-    the test past ``cap`` of them, or past ``cap`` levels of the class walk,
-    so that a broken refusal stops after a few thousand vertices instead of
-    running on to the oversized request.  Returns the list of cells' steps."""
-    built = []
+@given(label_inputs())
+@settings(max_examples=30, deadline=None)
+def test_every_label_round_trips_through_the_constructor(inputs):
+    # every route builds child steps only, so the constructor takes its paths
+    oracle = inputs[0]
+    for v in labels_by_every_route(*inputs):
+        u = VertexLabel(oracle, v.path)
+        assert u.path == v.path and u == v and hash(u) == hash(v)
 
-    def counted(real):
-        def build(*args):
-            built.append(args[-1])
-            if len(built) > cap:
-                pytest.fail("an oversized walk was enumerated")
-            return real(*args)
 
-        return build
-
-    real_levels = tree._class_levels
-
-    def capped(*args):
-        children, levels = real_levels(*args)
-
-        def guarded():
-            for i, level in enumerate(levels):
-                if i > cap:
-                    pytest.fail("an oversized walk was counted")
-                yield level
-
-        return children, guarded()
-
-    monkeypatch.setattr(tree, "_child", counted(tree._child))
-    monkeypatch.setattr(tree, "base_vertex", counted(tree.base_vertex))
-    monkeypatch.setattr(tree, "_class_levels", capped)
-    return built
+def test_the_constructor_takes_child_steps_only(bs23):
+    # b^5 a L = b^2 a L, and (0, 1) then (0, -1) leads back to the base
+    # vertex: a second path to a vertex would compare unequal to the first
+    # and lie at a distance from it
+    assert to_vertex_label(parse_word(bs23, "b^5 a")) == VertexLabel(bs23, ((2, 1),))
+    for path in [((5, 1),), ((3, 1),), ((0, 1), (0, -1)), ((1, -1), (0, 1)), ((0, 1), (1, -1), (2, -1))]:
+        with pytest.raises(ValueError, match=r"is not a child step at depth \d+$"):
+            VertexLabel(bs23, path)
+    assert VertexLabel(bs23, ((0, 1), (1, -1), (1, -1))).depth == 3
 
 
 def test_class_walk_builds_one_cell_per_vertex(bs23, monkeypatch):

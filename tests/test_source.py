@@ -183,6 +183,38 @@ def test_labels_build_their_path_only_on_request():
     assert "path" not in hnnkit.VertexLabel.__slots__
 
 
+def test_only_child_and_base_vertex_make_cells():
+    # a cell's fields are set up in one place: in tree.py only _child and
+    # base_vertex call _new and assign the fields, and besides them only
+    # __eq__'s re-pointing assigns a parent; the public constructor is a walk
+    # of _child steps
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["tree.py"]
+    builders = ["_child", "base_vertex"]
+    fields = {"_oracle", "_parent", "_step", "_depth", "_hash"}
+    calls, assigned = set(), {name: set() for name in fields}
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_new":
+                calls.add(func.name)
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for attr in ast.walk(target):
+                    if isinstance(attr, ast.Attribute) and attr.attr in fields:
+                        assigned[attr.attr].add(func.name)
+    assert sorted(calls) == builders
+    assert {name: sorted(funcs) for name, funcs in assigned.items()} == {
+        **{name: builders for name in fields - {"_parent"}},
+        "_parent": ["__eq__", *builders],
+    }
+
+
 def test_zd_eliminates_in_integers_only():
     # determinants, ranks and fixed vectors come from zd._echelon, never
     # from rational arithmetic

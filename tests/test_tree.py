@@ -43,6 +43,8 @@ from hnnkit import (
 from hnnkit import calculus, cli, tree
 from hnnkit.tree import _geodesic
 
+from conftest import count_cells
+
 
 def rand_word(oracle, rng, letters, max_len=6):
     text = " ".join(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
@@ -59,6 +61,26 @@ ZD_LETTERS = ["t", "t^-1", "e1", "e1^-1", "e2", "e2^-1"]
 def test_base_vertex_neighbors(bs23):
     targets = [label_str(e.target) for e in neighbors(base_vertex(bs23))]
     assert targets == ["a", "b a", "b^2 a", "a^-1", "b a^-1"]
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [make_bs(2, 3), make_bs(1, 2), make_bs(2, -2), make_zd(((2, 0), (0, 2)))],
+    ids=["BS(2,3)", "BS(1,2)", "BS(2,-2)", "Z2-diag2"],
+)
+def test_neighbors_list_the_transversals_in_order(oracle):
+    # the outgoing edges in h_transversal order, then the incoming ones in
+    # k_transversal order, at the base vertex and below it
+    expected = [(rep, 1) for rep in oracle.h_transversal()] + [(rep, -1) for rep in oracle.k_transversal()]
+    for v in ball(oracle, 2):
+        assert [(e.rep, e.sign) for e in neighbors(v)] == expected
+        assert all(e.source is v for e in neighbors(v))
+
+
+def test_distance_refuses_labels_of_different_oracles():
+    u, w = base_vertex(make_bs(2, 3)), base_vertex(make_bs(3, 2))
+    with pytest.raises(ValueError, match="labels belong to different oracles"):
+        distance(u, w)
 
 
 def test_neighbor_counts_and_parent(bs23):
@@ -165,38 +187,6 @@ def class_walk_size(gamma, radius):
     return sum(counts.values()), radius in counts
 
 
-def guard_enumeration(monkeypatch, cap=5000):
-    """Fail the test once the class walk counts more than ``cap`` levels or
-    builds more than ``cap`` labels, so that a broken refusal stops after a
-    few thousand vertices instead of running on to the oversized request.
-    Returns the list of labels built."""
-    built = []
-
-    class Counted(tree.VertexLabel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-            if len(built) > cap:
-                pytest.fail("an oversized walk was enumerated")
-
-    real = tree._class_levels
-
-    def capped(*args):
-        children, levels = real(*args)
-
-        def guarded():
-            for i, level in enumerate(levels):
-                if i > cap:
-                    pytest.fail("an oversized walk was counted")
-                yield level
-
-        return children, guarded()
-
-    monkeypatch.setattr(tree, "VertexLabel", Counted)
-    monkeypatch.setattr(tree, "_class_levels", capped)
-    return built
-
-
 @pytest.mark.parametrize(
     "oracle",
     [make_bs(2, 3), make_bs(4, 6), make_zd(((2, 1), (1, 1)))],
@@ -227,7 +217,7 @@ def test_ball_refuses_an_oversized_request_up_front(monkeypatch, capsys):
     assert totals(make_bs(1, 2), 18) == (786_430, 13_369_347)
 
     # the refusal comes before any label is built
-    built = guard_enumeration(monkeypatch)
+    built = count_cells(monkeypatch)
     for oracle, radius in [
         (bs23, 10), (bs23, 10**9), (line, 3162), (line, 499_999), (line, 10**6), (make_bs(1, 2), 18),
     ]:
@@ -251,20 +241,6 @@ def test_ball_refuses_an_oversized_request_up_front(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_fixed_subtree_labels_only_fixed_vertices(bs23, monkeypatch):
-    built = []
-
-    class Counted(tree.VertexLabel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(tree, "VertexLabel", Counted)
-    fixed, touches = fixed_subtree(parse_word(bs23, "b^6"), 4)
-    assert touches and len(fixed) > 20
-    assert len(built) <= len(fixed) + 1
 
 
 def test_equal_labels_hash_equal_across_oracles():
@@ -700,7 +676,7 @@ def test_fixed_subtree_tests_each_class_once(bs23, monkeypatch):
 
 def test_fixed_subtree_refuses_an_oversized_request_up_front(monkeypatch, capsys):
     gamma = parse_word(make_bs(6, 6), "b^6")
-    built = guard_enumeration(monkeypatch)
+    built = count_cells(monkeypatch)
     with pytest.raises(ValueError, match="radius 8 holds more than 1000000 vertices"):
         fixed_subtree(gamma, 8)
     # a broken refusal enumerates 1,597 vertices, not the whole radius-8 ball
