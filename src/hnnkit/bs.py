@@ -6,6 +6,12 @@ integer exponent (``b^z`` <-> ``z``), with arbitrary-precision arithmetic:
 the chain elements used elsewhere overflow fixed-width integers quickly, so
 exactness requires big integers.  The stable letter is printed ``a`` so that
 ``a^-1 b^n a = b^m``.
+
+``BsOracle`` itself runs integer kernels for the carry, pinch and seam loops
+of :mod:`hnnkit.calculus`, with the coset split and phi^+-1 inline, so a
+step of them is a few ``int`` operations instead of about eight calls
+through the oracle.  A subclass runs the calculus's protocol loops, through
+its methods, whichever of them it overrides.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .calculus import BaseOracle, DomainError, _int_text
+from .calculus import BaseOracle, DomainError, VerificationError, _int_text
 
 __all__ = [
     "BsParams",
@@ -117,6 +123,73 @@ class BsOracle(BaseOracle):
         if x == 1:
             return "b"
         return f"b^{_int_text(x)}"
+
+    # Integer kernels for calculus._carry, _reduce and _seam (see the module
+    # docstring); a subclass may override any of the arithmetic above, so
+    # __init_subclass__ sends it back to the protocol loops.  A syllable
+    # t^s y splits by, and the pinch t^s y t^-s unpinches across, K = mZ
+    # with phi^-1 for s = +1 and H = nZ with phi for s = -1: y = g q + rep
+    # maps to f q for (g, f) = (m, n), resp. (n, m).  y - rep is a multiple
+    # of |g|, so it lies in the domain that phi and phi_inv check.
+    _kernels = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._kernels = False
+
+    def _carry_kernel(self, head: int, tail: tuple, x: int, canonical: bool) -> tuple:
+        m, n = self.params.m, self.params.n
+        am, an = abs(m), abs(n)
+        pairs = list(tail)
+        carry, next_sign = x, 0
+        for j in range(len(pairs) - 1, -1, -1):
+            s, y = pairs[j]
+            y += carry
+            if s == 1:
+                rep = y % am
+                carry = n * ((y - rep) // m)
+            else:
+                rep = y % an
+                carry = m * ((y - rep) // n)
+            if not rep and s == -next_sign:
+                raise VerificationError("pinch re-created during canonicalization")
+            pairs[j] = (s, rep)
+            if canonical and not carry:
+                return head, tuple(pairs)
+            next_sign = s
+        return head + carry, tuple(pairs)
+
+    def _reduce_kernel(self, head: int, tail: tuple) -> tuple:
+        m, n = self.params.m, self.params.n
+        stack = []
+        for sign, elem in tail:
+            if stack and stack[-1][0] == -sign:
+                s, x = stack[-1]
+                g, f = (m, n) if s == 1 else (n, m)
+                if not x % g:
+                    stack.pop()
+                    merged = f * (x // g) + elem
+                    if stack:
+                        stack[-1] = (stack[-1][0], stack[-1][1] + merged)
+                    else:
+                        head += merged
+                    continue
+            stack.append((sign, elem))
+        return head, tuple(stack)
+
+    def _seam_kernel(self, head: int, tail: tuple, vhead: int, vtail: tuple) -> tuple:
+        m, n = self.params.m, self.params.n
+        i, j, k = len(tail), 0, len(vtail)
+        mid = (tail[-1][1] if i else head) + vhead
+        while i and j < k:
+            s, (vsign, elem) = tail[i - 1][0], vtail[j]
+            g, f = (m, n) if s == 1 else (n, m)
+            if vsign != -s or mid % g:
+                break
+            i -= 1
+            j += 1
+            mid = (tail[i - 1][1] if i else head) + f * (mid // g) + elem
+        return i, j, mid
 
 
 def make_bs(m: int, n: int) -> BsOracle:

@@ -34,6 +34,12 @@ for :func:`normalize` and ``_nf_rmul_letter``.  ``_nf_lmul_letter`` and
 letter; :func:`cyclic_reduce` builds its rotations, and
 :mod:`hnnkit.analysis` its conjugacy orbits, by them.
 
+The three loops every word operation runs, the carry ``_carry``, the pinch
+pass ``_reduce`` and the seam cancellation ``_seam``, call the oracle
+through this protocol.  An oracle class whose ``_kernels`` is true runs its
+own integer loops for them instead: :class:`hnnkit.bs.BsOracle` itself, and
+none of its subclasses, so arithmetic a subclass overrides is honoured.
+
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
 """
@@ -115,7 +121,20 @@ def _int_text(x: int) -> str:
     try:
         return str(x)
     except ValueError:
-        raise ValueError(f"an integer of more than {sys.get_int_max_str_digits()} digits") from None
+        raise _too_many_digits() from None
+
+
+def _check_int_text(digits: int) -> None:
+    """Refuse as :func:`_int_text` would, before the integer is built, when
+    ``digits``, a lower bound on its decimal digits, is past the limit (0
+    means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise _too_many_digits()
+
+
+def _too_many_digits() -> ValueError:
+    return ValueError(f"an integer of more than {sys.get_int_max_str_digits()} digits")
 
 
 class BaseOracle:
@@ -145,6 +164,9 @@ class BaseOracle:
 
     name = "base"
     stable_letter = "t"
+    # True on an oracle class whose own integer loops stand in for the
+    # protocol loops of _carry, _reduce and _seam (bs.BsOracle itself only)
+    _kernels = False
 
     @property
     def identity(self):
@@ -293,11 +315,15 @@ def base_word(oracle: BaseOracle, x) -> HnnWord:
 
 
 def stable_word(oracle: BaseOracle, sign: int = 1, count: int = 1) -> HnnWord:
-    """The word t^(sign*count), printed with the oracle's stable letter."""
+    """The word t^(sign*count), printed with the oracle's stable letter.
+    A count past the ``stable letters`` limit is refused, as by
+    :func:`parse_word`."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if count > _LIMITS["stable letters"]:
+        raise ValueError(f"a word of {_more_than('stable letters')}")
     e = oracle.identity
     return _reduced_word(oracle, e, ((sign, e),) * count)
 
@@ -394,6 +420,8 @@ def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
     first) is split by :func:`_split`, its representative replaces it and
     the carry moves left.  When the tail already holds representatives
     (``canonical``), the pass stops at the first identity carry."""
+    if oracle._kernels:
+        return oracle._carry_kernel(head, tail, x, canonical)
     pairs = list(tail)
     carry, next_sign = x, 0
     for j in range(len(pairs) - 1, -1, -1):
@@ -408,6 +436,8 @@ def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
 
 def _reduce(oracle: BaseOracle, head, tail):
     """One full leftmost-innermost pinch-removal pass over a token stream."""
+    if oracle._kernels:
+        return oracle._reduce_kernel(head, tail)
     omul = oracle.mul
     stack: list[tuple[int, Any]] = []
     for sign, elem in tail:
@@ -431,19 +461,23 @@ def _seam(oracle: BaseOracle, head, tail, vhead, vtail):
     A pinch can form only where the words meet, so cancel there, one pair
     of stable letters at a time, and stop at the first pair that does not
     cancel.  The result is the one :func:`_reduce` gives on the
-    concatenated token stream.
+    concatenated token stream.  The loop leaves the first ``i`` letters of
+    ``tail`` and all but the first ``j`` of ``vtail``, joined by ``mid``.
     """
-    omul = oracle.mul
-    i, j, n = len(tail), 0, len(vtail)
-    mid = omul(tail[-1][1] if i else head, vhead)
-    while i and j < n:
-        vsign, elem = vtail[j]
-        x = _unpinch(oracle, tail[i - 1][0], mid, vsign)
-        if x is None:
-            break
-        i -= 1
-        j += 1
-        mid = omul(tail[i - 1][1] if i else head, omul(x, elem))
+    if oracle._kernels:
+        i, j, mid = oracle._seam_kernel(head, tail, vhead, vtail)
+    else:
+        omul = oracle.mul
+        i, j, n = len(tail), 0, len(vtail)
+        mid = omul(tail[-1][1] if i else head, vhead)
+        while i and j < n:
+            vsign, elem = vtail[j]
+            x = _unpinch(oracle, tail[i - 1][0], mid, vsign)
+            if x is None:
+                break
+            i -= 1
+            j += 1
+            mid = omul(tail[i - 1][1] if i else head, omul(x, elem))
     if not i:
         return mid, vtail[j:]
     return head, tail[: i - 1] + ((tail[i - 1][0], mid),) + vtail[j:]

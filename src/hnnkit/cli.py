@@ -17,6 +17,7 @@ from typing import Optional
 
 from .calculus import (
     BaseOracle,
+    _check_int_text,
     _int_text,
     britton_reduce,
     equals,
@@ -202,7 +203,12 @@ def _run(args) -> int:
         gamma = None if args.gamma is None else parse_word(oracle, args.gamma)
         sys.stdout.write(tree.tree_dot(oracle, args.radius, gamma))
     elif cmd == "domj":
-        g = dom_phi_j_closed_form(_require_bs(oracle, "domj").params, args.j)
+        params = _require_bs(oracle, "domj").params
+        # |n1|^j d >= 2^e for e = j (bits(n1) - 1) + bits(d) - 1, so it has
+        # more than e log10(2) >= 0.30102 e digits: refuse before building it
+        e = args.j * (abs(params.n1).bit_length() - 1) + params.d.bit_length() - 1
+        _check_int_text(e * 30102 // 100000 + 1)
+        g = dom_phi_j_closed_form(params, args.j)
         _emit(args, _int_text(g), {"generator": g})
     else:  # pragma: no cover
         raise ValueError(f"unknown command {cmd!r}")

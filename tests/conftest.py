@@ -1,9 +1,20 @@
 import pytest
 from hypothesis import strategies as st
 
-from hnnkit import HnnWord, make_bs, make_zd, tree
+from hnnkit import BsOracle, HnnWord, make_bs, make_zd, tree
+from hnnkit.bs import BsParams
 
 FUZZ_GROUPS = [(2, 3), (3, 2), (2, -2), (2, 2)]
+
+
+class ProtocolBs(BsOracle):
+    """BS(m, n) with nothing overridden: as a subclass of ``BsOracle`` it
+    runs the calculus's protocol loops, through the oracle's methods, where
+    ``BsOracle`` itself runs its integer kernels."""
+
+
+def protocol_bs(m, n):
+    return ProtocolBs(BsParams(m, n))
 
 
 @pytest.fixture(scope="session")

@@ -31,8 +31,9 @@ from hnnkit import (
     stable_word,
 )
 from hnnkit import calculus
+from hnnkit.bs import BsParams
 
-from conftest import FUZZ_GROUPS, bs_word_strategy, oracle_and_words
+from conftest import FUZZ_GROUPS, bs_word_strategy, oracle_and_words, protocol_bs
 
 ZD_FIB = make_zd([[2, 1], [1, 1]])
 
@@ -300,6 +301,16 @@ def test_format_refuses_an_integer_past_the_str_digit_limit():
         assert format_word(normalize(parse_word(bs12, "a^2000 b a^-2000")).word) == f"b^{2**2000}"
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_stable_word_refuses_past_the_stable_letter_limit(bs23, monkeypatch):
+    # refused up front, as parse_word refuses the same word: no word is built
+    monkeypatch.setattr(calculus, "_reduced_word", lambda *args: pytest.fail("a word was built"))
+    for count in (10**6 + 1, 10**9):
+        with pytest.raises(ValueError, match="^a word of more than 1000000 stable letters$"):
+            stable_word(bs23, -1, count)
+    monkeypatch.undo()
+    assert len(stable_word(bs23, 1, 10**6).tail) == 10**6
 
 
 def test_parse_admits_the_stable_letter_limit(bs23):
@@ -766,15 +777,15 @@ def test_cyclic_reduce_tests_each_wrap_pinch_once(monkeypatch):
     assert calls == [0, 0, 0]
 
 
-def test_cyclic_reduce_checks_recomputed_syllables(monkeypatch):
-    oracle = make_bs(2, 3)
+def test_cyclic_reduce_checks_recomputed_syllables():
+    class DropsKRepresentative(BsOracle):
+        def decompose_left_K(self, x):
+            # drops the coset representative: t b^0 t^-1 is a pinch
+            return x - x % 2, 0
+
+    # a subclass runs the protocol loops, so its broken decomposition is used
+    oracle = DropsKRepresentative(BsParams(2, 3))
     w = parse_word(oracle, "a b a^-1 b^2")
-
-    def decompose_left_K(self, x):
-        # drops the coset representative: t b^0 t^-1 is a pinch
-        return x - x % 2, 0
-
-    monkeypatch.setattr(BsOracle, "decompose_left_K", decompose_left_K)
     for compute in (cyclic_reduce, normalize):
         with pytest.raises(VerificationError, match="pinch re-created"):
             compute(w)
@@ -800,8 +811,9 @@ def test_cyclic_reduce_split_count(monkeypatch, core, before):
     # the rotation scan makes each rotation from the last one by one-letter
     # products; ``before`` counts the _split calls of the scan that reran
     # the carry until it met a stored one, and the products may add at most
-    # one call per rotation
-    oracle = make_bs(2, 3)
+    # one call per rotation.  BsOracle's integer kernel makes no _split
+    # calls, so the count runs on the protocol loops of a subclass.
+    oracle = protocol_bs(2, 3)
     w = core(oracle)
     calls = []
     real = calculus._split

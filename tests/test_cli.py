@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,24 @@ def test_integer_past_the_str_digit_limit_is_refused(argv):
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == "error: an integer of more than 640 digits\n"
+
+
+def test_domj_past_the_str_digit_limit_is_refused_before_it_is_built(capsys):
+    # 3^(10^9) has 477,121,255 digits; the bound from bit lengths refuses it
+    # without building it, in the line str() would have led to
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--m", "2", "--n", "3", "domj", "--j", str(10**9))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", "error: an integer of more than 4300 digits\n")
+        # 3^10000 has 4772 digits: refused by str(), not by the bound
+        assert run(capsys, "--m", "2", "--n", "3", "domj", "--j", "10000") == (1, "", err)
+        sys.set_int_max_str_digits(0)
+        assert run(capsys, "--m", "2", "--n", "3", "domj", "--j", "10000") == (0, f"{3**10000}\n", "")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_witness_unbounded(capsys):

@@ -130,6 +130,56 @@ def test_only_the_normal_form_steps_carry():
     assert found == []
 
 
+def test_bs_rule_has_two_copies_the_protocol_and_the_kernels():
+    # BsOracle runs integer kernels in place of the loops of calculus._carry,
+    # _reduce and _seam, with the coset split and phi^+-1 done inline.  So
+    # the BS rule has two copies, the oracle methods that the loops call and
+    # the kernels: in bs.py only they (and BsParams' gcd parts) divide,
+    # nothing outside bs.py floor-divides by an m or an n, as phi does, and
+    # only the three loops dispatch, each to its own kernel
+    sources = dict((path.name, tree) for path, tree in parsed_sources())
+    kernels = {"_carry_kernel", "_reduce_kernel", "_seam_kernel"}
+    protocol = {"in_H", "in_K", "phi", "phi_inv"} | {
+        f"decompose_{side}_{sub}" for side in ("left", "right") for sub in "HK"
+    }
+
+    def divides(func):
+        return any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod, ast.FloorDiv))
+            for node in ast.walk(func)
+        )
+
+    functions = [
+        (name, func) for name, tree in sources.items() for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+    ]
+    assert {func.name for name, func in functions if name == "bs.py" and divides(func)} == (
+        protocol | kernels | {"__post_init__"}
+    )
+    def by_m_or_n(node):
+        right = node.right
+        if isinstance(right, ast.Call) and getattr(right.func, "id", None) == "abs":
+            right = right.args[0]
+        return (getattr(right, "id", None) or getattr(right, "attr", None)) in ("m", "n")
+
+    assert [
+        f"{name}:{node.lineno}" for name, tree in sources.items() if name != "bs.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and by_m_or_n(node)
+    ] == []
+    dispatch = {}
+    for name, func in functions:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr in kernels | {"_kernels"}:
+                dispatch.setdefault(f"{name} {func.name}", set()).add(node.attr)
+    assert dispatch == {
+        "calculus.py _carry": {"_kernels", "_carry_kernel"},
+        "calculus.py _reduce": {"_kernels", "_reduce_kernel"},
+        "calculus.py _seam": {"_kernels", "_seam_kernel"},
+        "bs.py __init_subclass__": {"_kernels"},
+    }
+
+
 def test_cyclic_reduce_reads_its_results_off_the_reduced_word():
     # each wrap pinch conjugates by the next syllable of the reduced word, so
     # the core and the conjugator are slices of it: no product, seam,
