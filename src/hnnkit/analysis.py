@@ -339,12 +339,13 @@ def symdiff_ratio(chain: FolnerChain, g: HnnWord) -> Fraction:
     """|g F g^-1 symdiff F| / |F| for the interior window
     F = {h_1, ..., h_{k-1}}, as an exact rational.
 
-    ``g`` is reduced and inverted once, and each conjugate g h g^-1 is the
-    seam product of the three reduced words.  Conjugation is injective, so
-    |g F g^-1| = |F| and the symmetric difference has 2 (|F| - |F & gFg^-1|)
-    elements.  By Britton's lemma a reduced word lies in the base group
-    exactly when it has no stable letter, and then its head is the element,
-    so no conjugate needs a normal form.
+    ``g`` is reduced and inverted once, and each conjugate g h g^-1 is one
+    pinch pass, of h times the reduced word of g^-1 onto that of g.
+    Conjugation is injective, so |g F g^-1| = |F| and the symmetric
+    difference has 2 (|F| - |F & gFg^-1|) elements.  By Britton's lemma a
+    reduced word lies in the base group exactly when it has no stable
+    letter, and then its head is the element, so no conjugate needs a
+    normal form.
     """
     if chain.k < 2:
         raise ValueError("chain must have k >= 2")
@@ -357,7 +358,7 @@ def symdiff_ratio(chain: FolnerChain, g: HnnWord) -> Fraction:
     r_inv = inv(r)
     common = 0
     for h in f:
-        head, tail = _seam(oracle, *_seam(oracle, r.head, r.tail, h, ()), r_inv.head, r_inv.tail)
+        head, tail = _seam(oracle, r.head, r.tail, oracle.mul(h, r_inv.head), r_inv.tail)
         if not tail and head in f:
             common += 1
     return Fraction(2 * (len(f) - common), len(window))
@@ -395,10 +396,12 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
             raise ValueError("every element of F must be nontrivial")
     a, a_inv = stable_word(oracle, 1), stable_word(oracle, -1)
     run_start: Optional[int] = None
-    trace: list[tuple[int, list[str]]] = []
+    # the words inside at each step, formatted only for a refusal: an
+    # answer that is an integer must not fail on a word's text
+    trace: list[tuple[int, list[HnnWord]]] = []
     for step in range(1, n_max + 1):
         current = [mul(mul(a_inv, w), a) for w in current]
-        inside = [format_word(w) for w in current if not w.tail]
+        inside = [w for w in current if not w.tail]
         trace.append((step, inside))
         if inside:
             run_start = None
@@ -412,9 +415,10 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
         ):
             return run_start
     if run_start is None:
+        texts = [(step, [format_word(w) for w in inside]) for step, inside in trace]
         raise EscapeExhaustionError(
             f"no escape exponent up to n_max = {n_max}; "
-            f"still inside the base group: {trace[-1][1]}",
-            trace,
+            f"still inside the base group: {texts[-1][1]}",
+            texts,
         )
     return run_start

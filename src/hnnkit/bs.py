@@ -7,8 +7,8 @@ the chain elements used elsewhere overflow fixed-width integers quickly, so
 exactness requires big integers.  The stable letter is printed ``a`` so that
 ``a^-1 b^n a = b^m``.
 
-``BsOracle`` itself runs integer kernels for the carry, pinch and seam loops
-of :mod:`hnnkit.calculus`, with the coset split and phi^+-1 inline, so a
+``BsOracle`` itself runs integer kernels for the carry and pinch loops of
+:mod:`hnnkit.calculus`, with the coset split and phi^+-1 inline, so a
 step of them is a few ``int`` operations instead of about eight calls
 through the oracle.  A subclass runs the calculus's protocol loops, through
 its methods, whichever of them it overrides.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .calculus import BaseOracle, DomainError, VerificationError, _int_text
+from .calculus import _LIMITS, BaseOracle, DomainError, VerificationError, _int_text, _more_than
 
 __all__ = [
     "BsParams",
@@ -124,7 +124,7 @@ class BsOracle(BaseOracle):
             return "b"
         return f"b^{_int_text(x)}"
 
-    # Integer kernels for calculus._carry, _reduce and _seam (see the module
+    # Integer kernels for calculus._carry and _seam (see the module
     # docstring); a subclass may override any of the arithmetic above, so
     # __init_subclass__ sends it back to the protocol loops.  A syllable
     # t^s y splits by, and the pinch t^s y t^-s unpinches across, K = mZ
@@ -159,37 +159,24 @@ class BsOracle(BaseOracle):
             next_sign = s
         return head + carry, tuple(pairs)
 
-    def _reduce_kernel(self, head: int, tail: tuple) -> tuple:
-        m, n = self.params.m, self.params.n
-        stack = []
-        for sign, elem in tail:
-            if stack and stack[-1][0] == -sign:
-                s, x = stack[-1]
-                g, f = (m, n) if s == 1 else (n, m)
-                if not x % g:
-                    stack.pop()
-                    merged = f * (x // g) + elem
-                    if stack:
-                        stack[-1] = (stack[-1][0], stack[-1][1] + merged)
-                    else:
-                        head += merged
-                    continue
-            stack.append((sign, elem))
-        return head, tuple(stack)
-
     def _seam_kernel(self, head: int, tail: tuple, vhead: int, vtail: tuple) -> tuple:
         m, n = self.params.m, self.params.n
-        i, j, k = len(tail), 0, len(vtail)
-        mid = (tail[-1][1] if i else head) + vhead
-        while i and j < k:
-            s, (vsign, elem) = tail[i - 1][0], vtail[j]
-            g, f = (m, n) if s == 1 else (n, m)
-            if vsign != -s or mid % g:
-                break
-            i -= 1
-            j += 1
-            mid = (tail[i - 1][1] if i else head) + f * (mid // g) + elem
-        return i, j, mid
+        stack = list(tail)
+        s, x = stack.pop() if stack else (0, head)
+        x += vhead
+        for sign, elem in vtail:
+            if s == -sign:
+                g, f = (m, n) if s == 1 else (n, m)
+                if not x % g:
+                    s, y = stack.pop() if stack else (0, head)
+                    x = y + f * (x // g) + elem
+                    continue
+            if s:
+                stack.append((s, x))
+            else:
+                head = x
+            s, x = sign, elem
+        return (head, (*stack, (s, x))) if s else (x, ())
 
 
 def make_bs(m: int, n: int) -> BsOracle:
@@ -198,8 +185,17 @@ def make_bs(m: int, n: int) -> BsOracle:
 
 
 def dom_phi_j_closed_form(params: BsParams, j: int) -> int:
-    """Positive generator g with Dom(phi^j) = gZ, namely |n1|^j * d."""
+    """Positive generator g with Dom(phi^j) = gZ, namely |n1|^j * d; refused
+    past ``_LIMITS["digits"]`` digits before it is built."""
     if j < 1:
         raise ValueError("j must be >= 1")
+    # g >= 2^e has more than e log10(2) >= 0.30102 e digits
+    if _dom_bits(params, j) * 30102 >= _LIMITS["digits"] * 100000:
+        raise ValueError(f"the generator of Dom(phi^{j}) has {_more_than('digits')}")
     return abs(params.n1) ** j * params.d
 
+
+def _dom_bits(params: BsParams, j: int) -> int:
+    """e = j (bits(n1) - 1) + bits(d) - 1, from bit lengths alone, with
+    |n1|^j d >= 2^e."""
+    return j * (abs(params.n1).bit_length() - 1) + params.d.bit_length() - 1

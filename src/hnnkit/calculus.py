@@ -17,12 +17,12 @@ Reduced words are an invariant that holds by construction.  :func:`mul`,
 :func:`base_word` and :func:`stable_word`, the word of :func:`normalize` and
 ``VertexLabel.word()`` in :mod:`hnnkit.tree` return words marked pinch-free.
 A word built directly with ``HnnWord(...)`` (or by :func:`parse_word`) is
-treated as unreduced.  ``mul`` reduces an unmarked operand first; it then
-cancels pinches only at the seam, because by Britton's lemma (Lyndon-Schupp,
-*Combinatorial Group Theory*, IV.2) no pinch can form anywhere else in the
-product of two reduced words.  ``inv`` of a marked word and
-``britton_reduce`` of a marked word do no reduction at all; an unmarked word
-that ``britton_reduce`` finds pinch-free is marked in place.
+treated as unreduced.  ``mul`` reduces an unmarked operand first; its
+pinch pass then cancels pinches only at the seam, because by Britton's
+lemma (Lyndon-Schupp, *Combinatorial Group Theory*, IV.2) no pinch can form
+anywhere else in the product of two reduced words.  ``inv`` of a marked
+word and ``britton_reduce`` of a marked word do no reduction at all; an
+unmarked word that ``britton_reduce`` finds pinch-free is marked in place.
 
 The sign convention of Britton's rule, t^-1 h t = phi(h) for h in H and
 t k t^-1 = phi^-1(k) for k in K, is written out once: ``_is_pinch`` tests
@@ -34,11 +34,12 @@ for :func:`normalize` and ``_nf_rmul_letter``.  ``_nf_lmul_letter`` and
 letter; :func:`cyclic_reduce` builds its rotations, and
 :mod:`hnnkit.analysis` its conjugacy orbits, by them.
 
-The three loops every word operation runs, the carry ``_carry``, the pinch
-pass ``_reduce`` and the seam cancellation ``_seam``, call the oracle
-through this protocol.  An oracle class whose ``_kernels`` is true runs its
-own integer loops for them instead: :class:`hnnkit.bs.BsOracle` itself, and
-none of its subclasses, so arithmetic a subclass overrides is honoured.
+The two loops every word operation runs, the carry ``_carry`` and the pinch
+pass ``_seam`` (``_reduce`` is its entry for a whole token stream), call the
+oracle through this protocol.  An oracle class whose ``_kernels`` is true
+runs its own integer loops for them instead: :class:`hnnkit.bs.BsOracle`
+itself, and none of its subclasses, so arithmetic a subclass overrides is
+honoured.
 
 All values are immutable and all operations are pure functions, so the whole
 calculus is safe for unrestricted concurrent use.
@@ -124,12 +125,12 @@ def _int_text(x: int) -> str:
         raise _too_many_digits() from None
 
 
-def _check_int_text(digits: int) -> None:
+def _check_int_text(bits: int) -> None:
     """Refuse as :func:`_int_text` would, before the integer is built, when
-    ``digits``, a lower bound on its decimal digits, is past the limit (0
-    means no limit)."""
+    it is at least 2^bits and so has more than bits log10(2) >= 0.30102
+    bits digits, past the limit (0 means no limit)."""
     limit = sys.get_int_max_str_digits()
-    if limit and digits > limit:
+    if limit and bits * 30102 >= limit * 100000:
         raise _too_many_digits()
 
 
@@ -165,7 +166,7 @@ class BaseOracle:
     name = "base"
     stable_letter = "t"
     # True on an oracle class whose own integer loops stand in for the
-    # protocol loops of _carry, _reduce and _seam (bs.BsOracle itself only)
+    # protocol loops of _carry and _seam (bs.BsOracle itself only)
     _kernels = False
 
     @property
@@ -435,52 +436,36 @@ def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
 
 
 def _reduce(oracle: BaseOracle, head, tail):
-    """One full leftmost-innermost pinch-removal pass over a token stream."""
-    if oracle._kernels:
-        return oracle._reduce_kernel(head, tail)
-    omul = oracle.mul
-    stack: list[tuple[int, Any]] = []
-    for sign, elem in tail:
-        x = _unpinch(oracle, *stack[-1], sign) if stack else None
-        if x is None:
-            stack.append((sign, elem))
-            continue
-        stack.pop()
-        merged = omul(x, elem)
-        if stack:
-            psign, pelem = stack[-1]
-            stack[-1] = (psign, omul(pelem, merged))
-        else:
-            head = omul(head, merged)
-    return head, tuple(stack)
+    """One full leftmost-innermost pinch-removal pass over a token stream:
+    :func:`_seam` from the identity word."""
+    return _seam(oracle, oracle.identity, (), head, tail)
 
 
 def _seam(oracle: BaseOracle, head, tail, vhead, vtail):
-    """Product of two pinch-free words given as ``(head, tail)`` pairs.
-
-    A pinch can form only where the words meet, so cancel there, one pair
-    of stable letters at a time, and stop at the first pair that does not
-    cancel.  The result is the one :func:`_reduce` gives on the
-    concatenated token stream.  The loop leaves the first ``i`` letters of
-    ``tail`` and all but the first ``j`` of ``vtail``, joined by ``mid``.
-    """
+    """The pinch pass: the pinch-free word ``(head, tail)`` times the token
+    stream ``(vhead, vtail)``.  Each stable letter of the stream is pushed
+    onto a stack that starts as the left word, and cancels the top letter
+    ``t^s x`` when the two pinch around x; the top is held apart, with
+    s = 0 for the head, which never pinches.  For a pinch-free stream only
+    letters at the seam cancel (Britton's lemma)."""
     if oracle._kernels:
-        i, j, mid = oracle._seam_kernel(head, tail, vhead, vtail)
-    else:
-        omul = oracle.mul
-        i, j, n = len(tail), 0, len(vtail)
-        mid = omul(tail[-1][1] if i else head, vhead)
-        while i and j < n:
-            vsign, elem = vtail[j]
-            x = _unpinch(oracle, tail[i - 1][0], mid, vsign)
-            if x is None:
-                break
-            i -= 1
-            j += 1
-            mid = omul(tail[i - 1][1] if i else head, omul(x, elem))
-    if not i:
-        return mid, vtail[j:]
-    return head, tail[: i - 1] + ((tail[i - 1][0], mid),) + vtail[j:]
+        return oracle._seam_kernel(head, tail, vhead, vtail)
+    omul = oracle.mul
+    stack = list(tail)
+    s, x = stack.pop() if stack else (0, head)
+    x = omul(x, vhead)
+    for sign, elem in vtail:
+        y = _unpinch(oracle, s, x, sign)
+        if y is not None:
+            s, x = stack.pop() if stack else (0, head)
+            x = omul(x, omul(y, elem))
+            continue
+        if s:
+            stack.append((s, x))
+        else:
+            head = x
+        s, x = sign, elem
+    return (head, (*stack, (s, x))) if s else (x, ())
 
 
 def britton_reduce(w: HnnWord) -> HnnWord:
@@ -507,8 +492,9 @@ def length(w: HnnWord) -> int:
 def mul(u: HnnWord, v: HnnWord) -> HnnWord:
     """Product ``u * v``, Britton-reduced.
 
-    An operand that is not marked reduced is reduced first; the two reduced
-    factors are then joined by seam-only cancellation.
+    An operand that is not marked reduced is reduced first; the pinch pass
+    of :func:`_seam` then pushes the right factor onto the left one, and
+    cancels only at the seam.
     """
     oracle = _same_oracle(u, v)
     u, v = britton_reduce(u), britton_reduce(v)

@@ -26,7 +26,7 @@ from .calculus import (
     normalize,
     parse_word,
 )
-from .bs import BsOracle, dom_phi_j_closed_form, make_bs
+from .bs import BsOracle, _dom_bits, dom_phi_j_closed_form, make_bs
 from .zd import make_zd, parse_matrix
 from . import analysis, tree
 
@@ -204,10 +204,8 @@ def _run(args) -> int:
         sys.stdout.write(tree.tree_dot(oracle, args.radius, gamma))
     elif cmd == "domj":
         params = _require_bs(oracle, "domj").params
-        # |n1|^j d >= 2^e for e = j (bits(n1) - 1) + bits(d) - 1, so it has
-        # more than e log10(2) >= 0.30102 e digits: refuse before building it
-        e = args.j * (abs(params.n1).bit_length() - 1) + params.d.bit_length() - 1
-        _check_int_text(e * 30102 // 100000 + 1)
+        # refuse a generator past the int-to-str limit before building it
+        _check_int_text(_dom_bits(params, args.j))
         g = dom_phi_j_closed_form(params, args.j)
         _emit(args, _int_text(g), {"generator": g})
     else:  # pragma: no cover

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -657,6 +658,18 @@ def test_escape_stops_early_with_the_same_answer():
             assert got == escape_outcome(reference_escape_exponent, words, n_max), (m, n, words, n_max)
             outcomes.add(type(got))
     assert outcomes == {int, tuple}
+
+
+def test_escape_answers_past_the_str_digit_limit():
+    # b^(2^1400) stays in H = 2Z of BS(3, 2) for 1,400 steps; its last value
+    # inside, b^(3^1400), has 668 digits, past a limit of 640, but the answer
+    # is an integer and no word is printed
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert escape_exponent([base_word(make_bs(3, 2), 2**1400)], 2000) == 1401
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_escape_rejects_trivial(bs23):

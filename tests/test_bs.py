@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,15 @@ def test_dom_closed_form_values():
     assert dom_phi_j_closed_form(BsParams(2, 3), 2) == 9
     assert dom_phi_j_closed_form(BsParams(4, 6), 1) == 6
     assert dom_phi_j_closed_form(BsParams(4, 6), 3) == 54
+
+
+def test_dom_closed_form_refuses_too_many_digits_before_building():
+    # 3^(10^9) has 477,121,255 digits, past the digits limit
+    start = time.perf_counter()
+    message = r"^the generator of Dom\(phi\^1000000000\) has more than 10000000 digits$"
+    with pytest.raises(ValueError, match=message):
+        dom_phi_j_closed_form(BsParams(2, 3), 10**9)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("m,n", CLOSED_FORM_PAIRS)
@@ -200,7 +211,7 @@ def kernel_results(oracle, words):
 @example((3, -3, [(0, ((-1, 9), (1, 2 * 10**29))), (9, ((1, -9),)), (2, ((1, 0), (-1, 1)))]))
 @example((-4, 6, [(0, ((1, -24), (-1, 5), (1, 24))), (1, ()), (-24, ((1, 7),))]))
 def test_kernels_match_the_protocol_loops(case):
-    # BsOracle runs bs.py's integer kernels for _carry, _reduce and _seam; a
+    # BsOracle runs bs.py's integer kernels for _carry and _seam; a
     # subclass that overrides nothing runs calculus's loops through the
     # oracle's methods, and every answer must be the same
     m, n, words = case
