@@ -105,11 +105,11 @@ class BsOracle(BaseOracle):
     def is_central(self, x: int) -> bool:
         return True
 
-    def h_transversal(self) -> tuple:
-        return tuple(range(abs(self.params.n)))
+    def h_transversal(self) -> range:
+        return range(abs(self.params.n))
 
-    def k_transversal(self) -> tuple:
-        return tuple(range(abs(self.params.m)))
+    def k_transversal(self) -> range:
+        return range(abs(self.params.m))
 
     def base_letters(self):
         return {"b": 1}

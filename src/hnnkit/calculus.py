@@ -51,7 +51,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "BaseOracle",
@@ -151,8 +151,12 @@ class BaseOracle:
     * ``decompose_right_H(x) == (r, h)`` with ``x == r * h`` and ``r`` the
       canonical representative of the left coset ``x H``;
 
-    and the same two shapes for K.  Every transversal contains the identity,
-    which represents the subgroup's own coset.
+    and the same two shapes for K.  ``h_transversal`` and ``k_transversal``
+    list the canonical representatives of the left cosets of H and K, first
+    the identity, which represents the subgroup's own coset, as a sequence
+    whose ``len`` is the index and that builds a representative only when
+    it is read (a ``range``, say): the tree walks count by the indices and
+    list the representatives only of the vertices they return.
 
     Element values must be canonical hashable Python values, so that
     ``eq(x, y)`` coincides with ``x == y``.  That makes words and labels
@@ -212,10 +216,10 @@ class BaseOracle:
     def is_central(self, x) -> bool:
         raise NotImplementedError
 
-    def h_transversal(self) -> tuple:
+    def h_transversal(self) -> Sequence:
         raise UnboundedIndexError(f"[L:H] is not finite for oracle {self.name!r}")
 
-    def k_transversal(self) -> tuple:
+    def k_transversal(self) -> Sequence:
         raise UnboundedIndexError(f"[L:K] is not finite for oracle {self.name!r}")
 
     def base_letters(self) -> dict[str, Any]:

@@ -12,24 +12,28 @@ labels that share a prefix share its cells, equal paths hash equal whatever
 built them, and the tree metric is a climb to the deepest common ancestor.
 
 A word moves a vertex by one walk, ``_walk``, which splits each base element
-into a left-coset representative (the next step) and a subgroup part carried
-across the stable letter, and pops back to the parent where the word leads
-back; the steps it pushes become cells only if it returns them.  The
-enumerations (``ball``, ``fixed_subtree`` and the descent to Min gamma) step
-through one child-step table instead, and the class walk gives each vertex it
-returns one cell, a child of its parent's.  Only ``base_vertex`` and
-``_child`` make cells; the public constructor is a walk of ``_child`` steps
-checked against the table.
+by ``_split_right`` into a left-coset representative (the next step) and a
+subgroup part carried across the stable letter, and pops back to the parent
+where the word leads back; the steps it pushes become cells only if it
+returns them.  The descent to Min gamma reads its one candidate step per
+level off the same split.  Only ``base_vertex`` and ``_child`` make cells;
+the public constructor is a walk of ``_child`` steps, each checked by the
+canonical-representative and backtrack rules.
 
 ``ball`` and ``fixed_subtree`` are one walk over a fixed set, by classes of
 vertices, not by vertices: whether a child of a fixed vertex v is fixed
 depends only on v's conjugate v^-1 gamma v and the sign of v's last step
-(Serre, *Trees*, I.6.4), so the child test runs once per class and step.
-The ball is the fixed set of the identity, walked from the base vertex;
-``fixed_subtree`` walks from the end of the descent.  The walk counts each
-level by classes first, which gives the exact size, and refuses a request
-past the vertex or path-step limit of ``calculus._LIMITS`` before any label
-is built.  Then it extends the cells level by level, in BFS order.
+(Serre, *Trees*, I.6.4).  A central conjugate is its own conjugate by every
+representative, so the child test runs once per class and sign, and a
+class's children are counted by the transversal's size.  The ball is the
+fixed set of the identity, walked from the base vertex; ``fixed_subtree``
+walks from the end of the descent.  The walk counts each level by classes
+first, which gives the exact size, and refuses a request past the vertex or
+path-step limit of ``calculus._LIMITS`` before any representative is listed
+or any label is built.  Then it extends the cells level by level, in BFS
+order, each vertex by its class's row of steps.  No walk lists the steps of
+every edge of a vertex, so the tree's degree costs nothing until the
+vertices of a request are built.
 
 Isometries are classified through the cyclic core: a word with trivial core
 fixes a vertex, otherwise it translates along an axis by the core's
@@ -42,7 +46,6 @@ an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, cycle, islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -54,7 +57,6 @@ from .calculus import (
     _more_than,
     _reduced_word,
     _same_oracle,
-    _seam,
     _unpinch,
     base_word,
     britton_reduce,
@@ -108,7 +110,7 @@ class TrivialElementError(ValueError):
 
 
 # the step and hash of the base vertex: no representative, and the sign 0
-# by which the child-step table keys it; the hash is the empty tuple's,
+# that no step backtracks against; the hash is the empty tuple's,
 # which, unlike None's, is the same in every process
 _BASE_STEP = (None, 0)
 _BASE_HASH = hash(())
@@ -129,10 +131,11 @@ class VertexLabel:
 
     ``VertexLabel(oracle, path)`` builds the cells of a path, one
     ``_child`` per step from a new base vertex, and refuses a step that is
-    not a child step: equality and ``distance`` compare paths, so a second
-    path to a vertex would name another.  The walks build one cell per step
-    they return.  Labels compare by value: equal
-    paths over equal oracles are equal labels and hash equal, whatever
+    not a child step, whose representative is not the canonical one of its
+    coset or that leads back to the parent: equality and ``distance``
+    compare paths, so a second path to a vertex would name another.  The
+    walks build one cell per step they return.  Labels compare by value:
+    equal paths over equal oracles are equal labels and hash equal, whatever
     built them.  Two equal labels of different chains are found equal by
     one climb, after which the right operand shares the left one's cells,
     so that comparing more labels of the two chains, as a set intersection
@@ -144,12 +147,15 @@ class VertexLabel:
 
     def __new__(cls, oracle: BaseOracle, path: tuple[tuple[object, int], ...] = ()):
         v = base_vertex(oracle)
-        if path:
-            table = _child_steps(oracle)
-            for step in path:
-                if step not in table[v._step[1]]:
-                    raise ValueError(f"{step!r} is not a child step at depth {v._depth}")
-                v = _child(v, step)
+        for step in path:
+            rep, sign = step
+            if (
+                sign not in (1, -1)
+                or _split_right(oracle, sign, rep)[0] != rep
+                or _backtracks(oracle, v._step[1], rep, sign)
+            ):
+                raise ValueError(f"{step!r} is not a child step at depth {v._depth}")
+            v = _child(v, step)
         return v
 
     @property
@@ -279,19 +285,32 @@ def label_str(v: VertexLabel) -> str:
 
 
 def neighbors(v: VertexLabel) -> list[EdgeRef]:
-    """[L:H] outgoing then [L:K] incoming edges, in the order of the base
-    vertex's row of the child-step table, where no step backtracks."""
-    return [EdgeRef(v, rep, sign) for rep, sign in _child_steps(v._oracle)[0]]
+    """[L:H] outgoing then [L:K] incoming edges, in transversal order: the
+    steps from the base vertex into its radius-1 ball, where no step
+    backtracks.  A degree past the vertex limit is refused as that ball
+    is, before an edge is built."""
+    return [EdgeRef(v, *u._step) for u in ball(v._oracle, 1)[1:]]
+
+
+def _split_right(oracle: BaseOracle, sign: int, x) -> tuple[object, object]:
+    """``(rep, y)`` with x t^sign = rep t^sign y: x = rep s for the
+    canonical representative rep of x H (sign +1) or x K (sign -1), and y
+    is the subgroup part carried across the letter, phi(s) resp.
+    phi^-1(s) (h t = t phi(h), k t^-1 = t^-1 phi^-1(k))."""
+    if sign == 1:
+        rep, s = oracle.decompose_right_H(x)
+        return rep, oracle.phi(s)
+    rep, s = oracle.decompose_right_K(x)
+    return rep, oracle.phi_inv(s)
 
 
 def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
     """The label of v x t^s1 l1 ... t^sk lk L, for the tokens ``(s_i, l_i)``
     of ``tail``, reduced or not, and the base element left over.  At each
-    t^s, x splits into a left-coset representative r, the step (r, s), and a
-    subgroup part carried across the letter (h t = t phi(h),
-    k t^-1 = t^-1 phi^-1(k)); but where t^s' x t^s is a pinch for the path's
-    last step (r', s'), the walk pops that step and r' times the unpinched
-    element becomes x.  A pop past the steps pushed so far is v's parent;
+    t^s, x splits by ``_split_right`` into a left-coset representative r,
+    the step (r, s), and a subgroup part carried across the letter; but
+    where t^s' x t^s is a pinch for the path's last step (r', s'), the walk
+    pops that step and r' times the unpinched element becomes x.  A pop past the steps pushed so far is v's parent;
     the pushed steps become cells only once the walk is done."""
     oracle = v._oracle
     omul = oracle.mul
@@ -307,10 +326,9 @@ def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
                 v = v._parent
             last = pushed[-1] if pushed else v._step
         else:
-            rep, s = oracle.decompose_right_H(x) if sign == 1 else oracle.decompose_right_K(x)
+            rep, x = _split_right(oracle, sign, x)
             last = (rep, sign)
             pushed.append(last)
-            x = oracle.phi(s) if sign == 1 else oracle.phi_inv(s)
         x = omul(x, lam)
     for step in pushed:
         v = _child(v, step)
@@ -367,22 +385,6 @@ def _backtracks(oracle: BaseOracle, last_sign: int, rep, sign: int) -> bool:
     return sign == -last_sign and oracle.is_identity(rep)
 
 
-@lru_cache(maxsize=64)
-def _child_steps(oracle: BaseOracle) -> dict[int, list[tuple[object, int]]]:
-    """The steps ``(rep, sign)`` from a vertex to its children, keyed by the
-    sign of its last step (0 at the base vertex): ``(rep, 1)`` for each
-    ``h_transversal`` rep, then ``(rep, -1)`` for each ``k_transversal`` rep,
-    less the one that backtracks; the base vertex's row, less none, is the
-    edge order of :func:`neighbors`.  One table per oracle, which every walk
-    and the public constructor share and only read."""
-    steps = [(rep, 1) for rep in oracle.h_transversal()]
-    steps += [(rep, -1) for rep in oracle.k_transversal()]
-    return {
-        last: [(rep, sign) for rep, sign in steps if not _backtracks(oracle, last, rep, sign)]
-        for last in (0, 1, -1)
-    }
-
-
 def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
     """The fixed vertices of gamma from the vertex v of ``path`` down,
     counted by classes of vertices rather than built, given the base element
@@ -393,21 +395,43 @@ def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
     path (0 at the base vertex).  The child u rep t^sign is fixed when
     t^-sign rep^-1 x rep t^sign is a pinch, and its conjugate is then the
     unpinched base element.  So which children are fixed, and their classes,
-    depend on the class of u alone (Serre, *Trees*, I.6.4): each class gets
-    one child test per step, however many vertices share it.  Classes compare
-    by value, so this holds over any base oracle.  The identity fixes every
-    child, and its walk from the base vertex has three classes.
+    depend on the class of u alone (Serre, *Trees*, I.6.4).  Classes compare
+    by value, so this holds over any base oracle.  When x is central,
+    rep^-1 x rep = x for every rep, so the children of one sign are all
+    fixed, in one class, or none is: the class gets one child test per sign,
+    and its fixed children of that sign are counted as the transversal's
+    size, less the step back to the parent.  Every BS and Z^d element is
+    central; any other class gets one test per representative.  The identity
+    fixes every child, and its walk from the base vertex has three classes.
 
-    Returns a table from each class met to its fixed children as
-    ``(step, class)`` pairs in the order of :func:`_child_steps`, each step
-    the table's own ``(rep, sign)`` tuple, which every child cell shares, and a
-    generator of the levels from v's depth down, each a dict from class to
-    its number of vertices on the level.  The generator stops at the radius
-    or after the last nonempty level, and fills the table as it goes, so a
-    caller that stops early pays only for the levels it read.
+    Returns a table from each class met to its fixed children, as entries
+    ``(sign, reps, count, class)``: the children across ``rep t^sign`` for
+    the ``reps`` of the entry, less the step back, are ``count`` vertices of
+    that class.  No representative is listed for a central class.  Also
+    returns a generator of the levels from v's depth down, each a dict from
+    class to its number of vertices on the level.  The generator stops at
+    the radius or after the last nonempty level, and fills the table as it
+    goes, so a caller that stops early pays only for the levels it read.
     """
     omul, oinv = oracle.mul, oracle.inv
+    transversals = ((1, oracle.h_transversal()), (-1, oracle.k_transversal()))
     children = {}
+
+    def fixed_children(x, last):
+        if oracle.is_central(x):
+            for sign, reps in transversals:
+                y = _unpinch(oracle, -sign, x, sign)
+                # the size only of a transversal whose children are fixed
+                count = 0 if y is None else len(reps) - (sign == -last)
+                if count:
+                    yield sign, reps, count, (y, sign)
+            return
+        for sign, reps in transversals:
+            for rep in reps:
+                if not _backtracks(oracle, last, rep, sign):
+                    y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
+                    if y is not None:
+                        yield sign, (rep,), 1, (y, sign)
 
     def levels():
         if len(path) > radius:
@@ -418,15 +442,9 @@ def _class_levels(oracle: BaseOracle, path: tuple, c, radius: int):
             nxt = {}
             for key, count in level.items():
                 if key not in children:
-                    x, last = key
-                    kids = children[key] = []
-                    for step in _child_steps(oracle)[last]:
-                        rep, sign = step
-                        y = _unpinch(oracle, -sign, omul(oinv(rep), omul(x, rep)), sign)
-                        if y is not None:
-                            kids.append((step, (y, sign)))
-                for _, child in children[key]:
-                    nxt[child] = nxt.get(child, 0) + count
+                    children[key] = list(fixed_children(*key))
+                for _, _, k, child in children[key]:
+                    nxt[child] = nxt.get(child, 0) + count * k
             if not nxt:
                 return
             level = nxt
@@ -439,10 +457,13 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
     """The vertices of ``_class_levels`` within the radius, in BFS order.
 
     The levels are counted first, and a walk past the vertex or path-step
-    limit is refused before any label is built: on a tree of degree 2 a
-    million vertices have paths of up to half a million steps each, which
-    ``fixed`` and ``tree-dot`` would print.  Then each vertex of a level
-    gets one cell per fixed child of its class, a child of its own."""
+    limit is refused before any representative is listed or any label is
+    built: on a tree of degree 2 a million vertices have paths of up to half
+    a million steps each, which ``fixed`` and ``tree-dot`` would print, and
+    on BS(10^9, 2) a vertex has 10^9 + 2 neighbors.  Then each class with
+    children gets its row once, a ``(step, child row)`` pair per fixed
+    child in transversal order, and each vertex of a level one cell per
+    step of its row, a child of its own."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     children, levels = _class_levels(oracle, path, c, radius)
@@ -458,11 +479,25 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
             )
     if not vertices:
         return []
-    labels = [VertexLabel(oracle, path)]
-    level = [(labels[0], (c, path[-1][1] if path else 0))]
-    for _ in range(len(path), depth):
-        level = [(_child(v, step), child) for v, key in level for step, child in children[key]]
-        labels += [v for v, _ in level]
+    # the table holds the classes above the last level, whose children were
+    # counted; a class met only on the last level is never extended
+    rows = {key: [] for key in children}
+    for key, row in rows.items():
+        last = key[1]
+        row.extend(
+            ((rep, sign), rows.get(child, ()))
+            for sign, reps, _, child in children[key]
+            for rep in reps
+            if not _backtracks(oracle, last, rep, sign)
+        )
+    level = [VertexLabel(oracle, path)]
+    level_rows = [rows.get((c, path[-1][1] if path else 0), ())]
+    labels = list(level)
+    for d in range(len(path) + 1, depth + 1):
+        level = [_child(p, step) for p, row in zip(level, level_rows) for step, _ in row]
+        labels += level
+        if d < depth:
+            level_rows = [child for row in level_rows for _, child in row]
     return labels
 
 
@@ -477,31 +512,44 @@ def ball(oracle: BaseOracle, radius: int) -> list[VertexLabel]:
 
 def _descend(gamma: HnnWord, radius: Optional[int] = None):
     """Greedy walk from the base vertex towards Min gamma, to depth at most
-    ``radius``, through the child-step table of gamma's oracle: the path of
-    the vertex v where it stops, with v^-1 gamma v as a pinch-free
-    ``(head, tail)`` pair whose stable-letter count is distance(v, gamma v).
+    ``radius``: the path of the vertex v where it stops, with v^-1 gamma v
+    as a pinch-free ``(head, tail)`` pair whose stable-letter count is
+    distance(v, gamma v).
 
-    The walk never tries the step back to the parent: it reached v by a
-    strict drop of distance(v, gamma v), so stepping back is never one."""
+    Off Min gamma exactly one neighbor u of v lowers the displacement, by
+    two (Serre, *Trees*, I.6.4), and it is read off the reduced conjugate
+    x = h t^s1 l1 ... t^sk lk = v^-1 gamma v.  For the step rep t^sign,
+    u^-1 gamma u = t^-sign rep^-1 x rep t^sign loses two stable letters
+    only when both of its ends pinch.  The left end t^-sign rep^-1 h t^s1
+    pinches only for sign = s1 and rep the representative of h's coset,
+    which ``_split_right`` of h gives, with the element y the pinch leaves:
+    that is the one candidate.  Where the right end t^sk lk rep t^s1
+    pinches too, to z, u^-1 gamma u = (y l1) t^s2 ... t^sk-1 (lk-1 z) and
+    the walk goes on from u.  Otherwise v is on Min gamma and the walk
+    stops.  A step back to the parent is never taken: v was reached by a
+    drop, so that step is a rise.  Only the two ends change, so the
+    conjugate is a window into the list of gamma's reduced tokens, and a
+    level costs O(1) base operations."""
     oracle = gamma.oracle
-    e = oracle.identity
-    steps = _child_steps(oracle)
+    omul = oracle.mul
     g = britton_reduce(gamma)
-    path, head, tail = (), g.head, g.tail
-    while tail and (radius is None or len(path) < radius):
-        for rep, sign in steps[path[-1][1] if path else 0]:
-            # x^-1 (v^-1 gamma v) x for the step x = rep t^sign is u^-1 gamma u
-            # for the child u past the edge
-            h, t = _seam(oracle, e, ((-sign, oracle.inv(rep)),), head, tail)
-            h, t = _seam(oracle, h, t, rep, ((sign, e),))
-            # strictly fewer: the displacement stays equal along an axis, so
-            # only a strict drop makes the walk terminate
-            if len(t) < len(tail):
-                path, head, tail = path + ((rep, sign),), h, t
-                break
-        else:
+    head, tokens = g.head, list(g.tail)
+    path, i, j = [], 0, len(tokens)
+    while j - i > 1 and (radius is None or len(path) < radius):
+        sign, lam = tokens[i]
+        last_sign, last = tokens[j - 1]
+        rep, y = _split_right(oracle, sign, head)
+        z = _unpinch(oracle, last_sign, omul(last, rep), sign)
+        if z is None:
             break
-    return path, head, tail
+        path.append((rep, sign))
+        head, i, j = omul(y, lam), i + 1, j - 1
+        if j > i:
+            s, x = tokens[j - 1]
+            tokens[j - 1] = (s, omul(x, z))
+        else:
+            head = omul(head, z)
+    return tuple(path), head, tuple(tokens[i:j])
 
 
 def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]:
@@ -515,8 +563,9 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
     none does.  The minimum over the ball is taken at one vertex only: the
     projection of the base vertex onto Min gamma, or the vertex at depth
     ``radius`` on the geodesic to it.  This unique witness is also the first
-    in BFS order, and the descent reaches it in O(radius * degree)
-    conjugations.
+    in BFS order, and the descent reaches it by one candidate step per
+    level, O(1) base operations each, after one Britton reduction of gamma,
+    whatever the tree's degree.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -735,16 +784,23 @@ def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
 def tree_dot(oracle: BaseOracle, radius: int, gamma: Optional[HnnWord] = None) -> str:
     """DOT digraph of the radius ball: nodes in BFS order, solid oriented
     edges within the ball, and optionally dashed edges v -> gamma v.  Each
-    label is formatted once."""
+    label is formatted once.
+
+    The solid edges out of v are read off the ball's cells, in
+    ``h_transversal`` order: one to each child across a step of sign +1,
+    and, when v's own last step has sign -1, one to its parent, across the
+    identity, which the transversal lists first."""
     vs = ball(oracle, radius)
     names = {v: label_str(v) for v in vs}
     lines = ["digraph bass_serre_ball {"]
     lines += [f'  "{name}";' for name in names.values()]
-    for v in vs:
-        for rep in oracle.h_transversal():
-            target = v.step(rep, 1)
-            if target in names:
-                lines.append(f'  "{names[v]}" -> "{names[target]}";')
+    out = {v: [] for v in vs}
+    for v in vs[1:]:
+        if v._step[1] == 1:
+            out[v._parent].append(v)
+        else:
+            out[v].append(v._parent)
+    lines += [f'  "{names[v]}" -> "{names[u]}";' for v in vs for u in out[v]]
     if gamma is not None:
         for v in vs:
             target = act(gamma, v)

@@ -12,9 +12,10 @@ floating point or fractions."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 from .calculus import BaseOracle, DomainError, _int_text
@@ -151,6 +152,34 @@ def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
     return tuple(tuple(basis[j][i] for j in range(d)) for i in range(n))
 
 
+class HermiteBox(Sequence):
+    """The integer vectors r with 0 <= r_i < sizes[i], in the order of
+    ``itertools.product`` (the last entry runs fastest), as a sequence that
+    is indexed and counted without listing them: the K-coset
+    representatives of Z^d are the box of the Hermite diagonal, |det M| of
+    them."""
+
+    def __init__(self, sizes: tuple[int, ...]):
+        self.sizes = sizes
+
+    def __len__(self) -> int:
+        return prod(self.sizes)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        size = len(self)
+        if not -size <= i < size:
+            raise IndexError("box index out of range")
+        i %= size
+        r = []
+        for s in reversed(self.sizes):
+            i, x = divmod(i, s)
+            r.append(x)
+        return tuple(reversed(r))
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.sizes))
+
+
 @dataclass(frozen=True)
 class ZdOracle(BaseOracle):
     matrix: IntegerMatrix
@@ -226,11 +255,10 @@ class ZdOracle(BaseOracle):
     def h_transversal(self) -> tuple:
         return (self.identity,)
 
-    def k_transversal(self) -> tuple:
+    def k_transversal(self) -> HermiteBox:
         # box vectors of the Hermite diagonal are exactly the residues
         B = self.hnf
-        ranges = [range(B[i][i]) for i in range(self.dim)]
-        return tuple(itertools.product(*ranges))
+        return HermiteBox(tuple(B[i][i] for i in range(self.dim)))
 
     def base_letters(self):
         letters = {}

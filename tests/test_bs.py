@@ -103,8 +103,8 @@ def test_parse_rejects_unknown_letter(bs23):
 
 
 def test_transversals(bs23):
-    assert bs23.h_transversal() == (0, 1, 2)
-    assert bs23.k_transversal() == (0, 1)
+    assert tuple(bs23.h_transversal()) == (0, 1, 2)
+    assert tuple(bs23.k_transversal()) == (0, 1)
 
 
 @given(bs_oracles_strategy(), st.integers(-200, 200))

@@ -195,8 +195,9 @@ def test_cyclic_reduce_reads_its_results_off_the_reduced_word():
 
 
 def test_one_walk_moves_a_vertex():
-    # the left-coset carry of a vertex label lives in tree._walk alone, and
-    # the backtrack test of a step in _walk and the child-step table
+    # the left-coset carry of a vertex label lives in tree._split_right
+    # alone, which _walk and _descend share, and the backtrack test of a step
+    # in the constructor and the class walk's child rows
     def outside(allowed, hit):
         return [
             f"{path.name}:{node.lineno} {func.name}"
@@ -208,10 +209,34 @@ def test_one_walk_moves_a_vertex():
         ]
 
     carry = {"decompose_right_H", "decompose_right_K"}
-    assert outside({("tree.py", "_walk")}, lambda node: (
+    assert outside({("tree.py", "_split_right")}, lambda node: (
         getattr(node, "attr", None) in carry or getattr(node, "id", None) in carry)) == []
-    assert outside({("tree.py", "_walk"), ("tree.py", "_child_steps")}, lambda node: (
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["tree.py"]
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split_right"
+    }
+    assert {"_walk", "_descend"} <= callers
+    rows = {("tree.py", name) for name in ("__new__", "_class_levels", "fixed_children", "_class_walk")}
+    assert outside(rows, lambda node: (
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_backtracks")) == []
+
+
+def test_the_tree_keeps_no_cache():
+    # a walk lists no table of the tree's steps, and a cache would keep one
+    # alive per oracle: tree.py imports no lru_cache or cache
+    tree = dict((path.name, tree) for path, tree in parsed_sources())["tree.py"]
+    found = [
+        f"tree.py:{node.lineno} {name}"
+        for node in ast.walk(tree)
+        for name in ({node.id} if isinstance(node, ast.Name) else {node.attr} if isinstance(node, ast.Attribute)
+                     else {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else ())
+        if name in ("lru_cache", "cache", "cached_property")
+    ]
+    assert found == []
 
 
 def test_labels_build_their_path_only_on_request():
@@ -390,8 +415,8 @@ def test_one_size_check_for_the_tree_walks():
 
 
 def test_nothing_enumerates_the_tree_through_neighbors():
-    # internal tree walks step through tree._child_steps; neighbors builds an
-    # EdgeRef per edge and a label per target, and is kept for callers only
+    # internal tree walks step through their classes' rows; neighbors builds
+    # an EdgeRef per edge and a label per target, and is kept for callers only
     found = [
         f"{path.name}:{node.lineno}"
         for path, tree in parsed_sources()

@@ -147,19 +147,27 @@ def test_ball_is_the_fixed_set_of_the_identity(oracle):
         assert set(ball(oracle, r)) == fixed_subtree(identity_word(oracle), r)[0]
 
 
-def test_walks_share_one_child_step_table_per_oracle(monkeypatch):
-    # the table depends on the oracle alone: its one build asks _backtracks
-    # once per step and last sign, and no later walk over the oracle asks
+def test_a_central_class_is_tested_once_per_sign(monkeypatch):
+    # every BS element is central: rep^-1 x rep = x for every rep, so the
+    # children of one sign are all fixed, in one class, or none is; the class
+    # walk runs one child test per class and sign, where a test per step
+    # would run 5 + 7, and counts the children by the transversal's size
     oracle = make_bs(5, 7)
-    tree._child_steps.cache_clear()
     calls = []
-    real = tree._backtracks
-    monkeypatch.setattr(tree, "_backtracks", lambda *args: calls.append(args) or real(*args))
-    for _ in range(2):
-        ball(oracle, 2)
-        fixed_subtree(base_word(oracle, 35), 3)
-        min_displacement_bfs(parse_word(oracle, "a b a^-1 b"), 3)
-        assert len(calls) == 3 * (5 + 7)
+    real = tree._unpinch
+    monkeypatch.setattr(tree, "_unpinch", lambda *args: calls.append(args) or real(*args))
+    for x, radius in [(0, 2), (35, 3), (35, 6), (5, 4), (7, 4)]:
+        children, levels = tree._class_levels(oracle, (), x, radius)
+        counts = [sum(level.values()) for level in levels]
+        assert len(calls) == 2 * len(children)
+        calls.clear()
+        fixed, _ = fixed_subtree(base_word(oracle, x), radius)
+        assert len(calls) == 2 * len(children) and len(fixed) == sum(counts)
+        calls.clear()
+        if x == 0:
+            assert counts == [1, 12, 12 * 11] and len(children) == 3
+            assert len(ball(oracle, radius)) == sum(counts) and len(calls) == 6
+            calls.clear()
 
 
 def ball_size(degree, radius):
@@ -602,7 +610,7 @@ def reference_fixed_subtree(gamma, radius):
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     oracle = gamma.oracle
-    steps = tree._child_steps(oracle)
+    steps = [(rep, 1) for rep in oracle.h_transversal()] + [(rep, -1) for rep in oracle.k_transversal()]
     entry, c, tail = tree._descend(gamma)
     if tail:
         raise NotEllipticError("fixed subtrees exist only for elliptic elements")
@@ -614,7 +622,9 @@ def reference_fixed_subtree(gamma, radius):
     while depth < radius:
         nxt = []
         for path, c in level:
-            for rep, sign in steps[path[-1][1] if path else 0]:
+            for rep, sign in steps:
+                if path and sign == -path[-1][1] and oracle.is_identity(rep):
+                    continue  # the step back to the parent
                 conj = oracle.mul(oracle.inv(rep), oracle.mul(c, rep))
                 x = calculus._unpinch(oracle, -sign, conj, sign)
                 if x is not None:
