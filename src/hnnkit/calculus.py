@@ -51,7 +51,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional
 
 __all__ = [
     "BaseOracle",
@@ -153,10 +153,12 @@ class BaseOracle:
 
     and the same two shapes for K.  ``h_transversal`` and ``k_transversal``
     list the canonical representatives of the left cosets of H and K, first
-    the identity, which represents the subgroup's own coset, as a sequence
-    whose ``len`` is the index and that builds a representative only when
-    it is read (a ``range``, say): the tree walks count by the indices and
-    list the representatives only of the vertices they return.
+    the identity, which represents the subgroup's own coset, as a sized
+    iterable that builds a representative only when iteration reaches it (a
+    ``range``, say): the tree walks count the children of a vertex by
+    ``len`` and list the representatives only of the vertices they return.
+    An index that ``len`` cannot take, past ``sys.maxsize``, raises
+    ``OverflowError`` there, which the walks refuse as past the vertex limit.
 
     Element values must be canonical hashable Python values, so that
     ``eq(x, y)`` coincides with ``x == y``.  That makes words and labels
@@ -216,10 +218,10 @@ class BaseOracle:
     def is_central(self, x) -> bool:
         raise NotImplementedError
 
-    def h_transversal(self) -> Sequence:
+    def h_transversal(self) -> Iterable:
         raise UnboundedIndexError(f"[L:H] is not finite for oracle {self.name!r}")
 
-    def k_transversal(self) -> Sequence:
+    def k_transversal(self) -> Iterable:
         raise UnboundedIndexError(f"[L:K] is not finite for oracle {self.name!r}")
 
     def base_letters(self) -> dict[str, Any]:

@@ -136,12 +136,7 @@ class VertexLabel:
     compare paths, so a second path to a vertex would name another.  The
     walks build one cell per step they return.  Labels compare by value:
     equal paths over equal oracles are equal labels and hash equal, whatever
-    built them.  Two equal labels of different chains are found equal by
-    one climb, after which the right operand shares the left one's cells,
-    so that comparing more labels of the two chains, as a set intersection
-    does, costs O(1) each.  A dict or set lookup compares its stored key on
-    the left, so a probe built for the lookup moves onto the stored cells
-    and leaves its own chain to be freed."""
+    built them."""
 
     __slots__ = ("_oracle", "_parent", "_step", "_depth", "_hash")
 
@@ -191,21 +186,24 @@ class VertexLabel:
         return _walk(self, rep, ((sign, self._oracle.identity),))[0]
 
     def __eq__(self, other) -> bool:
-        # hash and depth first, then a climb until both sides reach one
-        # shared cell, or the base vertices, whose oracles must be equal
+        """Equal hashes and depths, a common prefix as long as the paths,
+        found by the climb that ``distance`` makes (``_common_prefix``), and
+        equal oracles, compared by ``is`` before ``==``.  Two equal labels of
+        different chains are then found equal by one climb, after which the
+        right operand shares the left one's cells, so that comparing more
+        labels of the two chains, as a set intersection does, costs O(1)
+        each.  A dict or set lookup compares its stored key on the left, so
+        a probe built for the lookup moves onto the stored cells and leaves
+        its own chain to be freed."""
         if not isinstance(other, VertexLabel):
             return NotImplemented
-        u, v = self, other
-        if u._hash != v._hash or u._depth != v._depth:
+        if (
+            self._hash != other._hash
+            or self._depth != other._depth
+            or _common_prefix(self, other) != self._depth
+            or self._oracle is not other._oracle and self._oracle != other._oracle
+        ):
             return False
-        while u is not v:
-            if u._parent is None:
-                if u._oracle != v._oracle:
-                    return False
-                break
-            if u._step != v._step:
-                return False
-            u, v = u._parent, v._parent
         # equal: other's chain takes self's cells, which hold the same steps,
         # so that the next comparison of the two chains stops at once; each
         # parent is replaced by an equal label, so no label changes
@@ -310,8 +308,9 @@ def _walk(v: VertexLabel, x, tail) -> tuple[VertexLabel, object]:
     t^s, x splits by ``_split_right`` into a left-coset representative r,
     the step (r, s), and a subgroup part carried across the letter; but
     where t^s' x t^s is a pinch for the path's last step (r', s'), the walk
-    pops that step and r' times the unpinched element becomes x.  A pop past the steps pushed so far is v's parent;
-    the pushed steps become cells only once the walk is done."""
+    pops that step and r' times the unpinched element becomes x.  A pop
+    past the steps pushed so far is v's parent; the pushed steps become
+    cells only once the walk is done."""
     oracle = v._oracle
     omul = oracle.mul
     pushed = []
@@ -460,23 +459,31 @@ def _class_walk(oracle: BaseOracle, path: tuple, c, radius: int, what: str) -> l
     limit is refused before any representative is listed or any label is
     built: on a tree of degree 2 a million vertices have paths of up to half
     a million steps each, which ``fixed`` and ``tree-dot`` would print, and
-    on BS(10^9, 2) a vertex has 10^9 + 2 neighbors.  Then each class with
-    children gets its row once, a ``(step, child row)`` pair per fixed
-    child in transversal order, and each vertex of a level one cell per
-    step of its row, a child of its own."""
+    on BS(10^9, 2) a vertex has 10^9 + 2 neighbors.  A transversal too
+    large for ``len``, past ``sys.maxsize`` as on BS(10^20, 2), is past the
+    vertex limit too, so the ``OverflowError`` of its count is the same
+    refusal.  Then each class with children gets its row once, a
+    ``(step, child row)`` pair per fixed child in transversal order, and
+    each vertex of a level one cell per step of its row, a child of its
+    own."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     children, levels = _class_levels(oracle, path, c, radius)
     max_vertices, max_steps = _LIMITS["vertices"], _LIMITS["path steps"]
     vertices = path_steps = 0
-    for depth, level in enumerate(levels, len(path)):
-        count = sum(level.values())
-        vertices += count
-        path_steps += depth * count
-        if vertices > max_vertices or path_steps > max_steps:
-            raise ValueError(
-                f"{what} within radius {radius} holds {_more_than('vertices', 'path steps')}"
-            )
+    # a count past a limit and a transversal too large for len (which
+    # raises OverflowError in _class_levels) are one refusal
+    try:
+        for depth, level in enumerate(levels, len(path)):
+            count = sum(level.values())
+            vertices += count
+            path_steps += depth * count
+            if vertices > max_vertices or path_steps > max_steps:
+                raise OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"{what} within radius {radius} holds {_more_than('vertices', 'path steps')}"
+        ) from None
     if not vertices:
         return []
     # the table holds the classes above the last level, whose children were

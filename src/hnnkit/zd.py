@@ -12,7 +12,6 @@ floating point or fractions."""
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -152,29 +151,18 @@ def column_hnf(M: IntegerMatrix) -> IntegerMatrix:
     return tuple(tuple(basis[j][i] for j in range(d)) for i in range(n))
 
 
-class HermiteBox(Sequence):
+class HermiteBox:
     """The integer vectors r with 0 <= r_i < sizes[i], in the order of
-    ``itertools.product`` (the last entry runs fastest), as a sequence that
-    is indexed and counted without listing them: the K-coset
+    ``itertools.product`` (the last entry runs fastest), counted by ``len``
+    without listing them and built one at a time by iteration: the K-coset
     representatives of Z^d are the box of the Hermite diagonal, |det M| of
-    them."""
+    them.  Past ``sys.maxsize`` vectors, ``len`` raises ``OverflowError``."""
 
     def __init__(self, sizes: tuple[int, ...]):
         self.sizes = sizes
 
     def __len__(self) -> int:
         return prod(self.sizes)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        size = len(self)
-        if not -size <= i < size:
-            raise IndexError("box index out of range")
-        i %= size
-        r = []
-        for s in reversed(self.sizes):
-            i, x = divmod(i, s)
-            r.append(x)
-        return tuple(reversed(r))
 
     def __iter__(self):
         return itertools.product(*map(range, self.sizes))

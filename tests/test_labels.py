@@ -100,6 +100,19 @@ def test_equal_hashes_do_not_make_labels_equal(bs23):
     assert u != w and w != u
 
 
+def test_labels_compare_their_oracles_by_value():
+    # the same path over two BS(2,3) objects names one vertex, over BS(2,3)
+    # and BS(3,2) two, though the hash, made from the path, is the same
+    first, second, other = make_bs(2, 3), make_bs(2, 3), make_bs(3, 2)
+    assert first is not second
+    paths = [(), ((1, 1),), ((1, 1), (1, -1)), ((1, -1), (0, -1), (1, 1))]
+    for path in paths:
+        u, v, w = (VertexLabel(oracle, path) for oracle in (first, second, other))
+        assert u == v and v == u and hash(u) == hash(v)
+        assert u != w and w != u and v != w and w != v and hash(u) == hash(w)
+        assert u.path == v.path == w.path == path
+
+
 @given(label_inputs())
 @settings(max_examples=30, deadline=None)
 def test_every_label_round_trips_through_the_constructor(inputs):
