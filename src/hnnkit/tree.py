@@ -46,7 +46,7 @@ an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .calculus import (
@@ -240,12 +240,13 @@ def _child(parent: VertexLabel, step: tuple[object, int]) -> VertexLabel:
     return v
 
 
-def _path_tokens(v: VertexLabel) -> tuple[object, list[tuple[int, object]]]:
+def _path_tokens(v: VertexLabel) -> tuple[object, Iterator[tuple[int, object]]]:
     """The head r_1 and the tokens (s_i, r_i+1) of v's path word
-    r_1 t^s_1 ... r_k t^s_k, with r_k+1 the identity."""
+    r_1 t^s_1 ... r_k t^s_k, with r_k+1 the identity, made as a walk reads
+    them, so that no list of them outlives it."""
     steps = _steps(v)
     reps = [rep for rep, _ in steps] + [v._oracle.identity]
-    return reps[0], [(sign, r) for (_, sign), r in zip(steps, reps[1:])]
+    return reps[0], ((sign, r) for (_, sign), r in zip(steps, reps[1:]))
 
 
 def _steps(v: VertexLabel) -> list[tuple[object, int]]:
@@ -279,7 +280,7 @@ def base_vertex(oracle: BaseOracle) -> VertexLabel:
 
 
 def label_str(v: VertexLabel) -> str:
-    return "1" if not v._depth else format_word(v.word())
+    return format_word(v.word())
 
 
 def neighbors(v: VertexLabel) -> list[EdgeRef]:
@@ -341,16 +342,15 @@ def to_vertex_label(g: HnnWord) -> VertexLabel:
 
 
 def act(g: HnnWord, v: VertexLabel) -> VertexLabel:
-    """Left translation of the vertex g L by a group element: one walk from
-    the base vertex over g's tokens joined to the tokens of v's path word
-    ``r_1 t^s_1 ... r_k t^s_k``, whose head r_1 joins g's last token."""
+    """Left translation g v of a vertex: the walk of g's tokens from the
+    base vertex stops at g L with a base element x left over, and resumes
+    from x r_1 over the tokens of v's path word ``r_1 t^s_1 ... r_k t^s_k``.
+    Where v's path undoes g, the resumed walk pops back through the first
+    walk's cells."""
     oracle = _same_oracle(g, v)
     head, tokens = _path_tokens(v)
-    if not g.tail:
-        return _walk(base_vertex(oracle), oracle.mul(g.head, head), tokens)[0]
-    *body, (sign, lam) = g.tail
-    tokens = chain(body, ((sign, oracle.mul(lam, head)),), tokens)
-    return _walk(base_vertex(oracle), g.head, tokens)[0]
+    u, x = _walk(base_vertex(oracle), g.head, g.tail)
+    return _walk(u, oracle.mul(x, head), tokens)[0]
 
 
 def _common_prefix(u: VertexLabel, v: VertexLabel) -> int:
@@ -594,18 +594,18 @@ class IsometryClass:
 
 def _axis_labels(conj: HnnWord, word: HnnWord) -> Iterator[VertexLabel]:
     """The vertices conj * (prefixes of word^k) L for k = 0, 1, ..., the
-    start conj L first: one walk through conj, then one step per syllable of
-    the word, period after period.  The word's head joins each period's last
-    syllable: it does not move that vertex, but it moves the next period's."""
+    start conj L first: one walk through conj, resumed by one step per
+    syllable of the word, period after period.  Each period multiplies the
+    word's head into the base element the walk left over, then walks the
+    word's tokens.  A word with no stable letter has the start alone."""
     oracle = word.oracle
-    *body, (sign, lam) = word.tail
-    period = (*body, (sign, oracle.mul(lam, word.head)))
     v, x = _walk(base_vertex(oracle), conj.head, conj.tail)
-    x = oracle.mul(x, word.head)
     yield v
-    for token in cycle(period):
-        v, x = _walk(v, x, (token,))
-        yield v
+    while word.tail:
+        x = oracle.mul(x, word.head)
+        for token in word.tail:
+            v, x = _walk(v, x, (token,))
+            yield v
 
 
 def classify(gamma: HnnWord) -> IsometryClass:
@@ -678,10 +678,9 @@ def unbounded_fixed_witness_bs(m: int, n: int) -> tuple[HnnWord, Callable[[int],
     def family(l: int) -> VertexLabel:
         return to_vertex_label(HnnWord(oracle, oracle.identity, step * l))
 
-    origin = base_vertex(oracle)
     for l in range(6):
         v = family(l)
-        if v != act(gamma, v) or distance(origin, v) != len(step) * l:
+        if v != act(gamma, v) or v._depth != len(step) * l:
             raise VerificationError(f"unbounded fixed family fails at index {l}")
     return gamma, family
 
@@ -703,19 +702,14 @@ def _geodesic(u: VertexLabel, v: VertexLabel) -> list[VertexLabel]:
 def center(labels: Iterable[VertexLabel]) -> VertexLabel:
     """Center of a nonempty finite vertex set by double sweep: the midpoint
     of a diametral pair, taking the lexicographically least of the two middle
-    vertices on odd diameters."""
+    vertices on odd diameters.  The vertices are sorted by text, and distinct
+    vertices have distinct texts, so each sweep takes the least text at the
+    largest distance as the first; a single vertex is its own sweep."""
     vs = sorted(set(labels), key=label_str)
     if not vs:
         raise ValueError("center of an empty set")
-    if len(vs) == 1:
-        return vs[0]
-
-    def farthest(src: VertexLabel) -> VertexLabel:
-        best = max(distance(src, v) for v in vs)
-        return min((v for v in vs if distance(src, v) == best), key=label_str)
-
-    u = farthest(vs[0])
-    w = farthest(u)
+    u = max(vs, key=lambda v: distance(vs[0], v))
+    w = max(vs, key=lambda v: distance(u, v))
     geo = _geodesic(u, w)
     diameter = len(geo) - 1
     if diameter % 2 == 0:
@@ -746,7 +740,8 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
     is classify's checked sample, of max(2, ceil(radius / tl)) periods.
     Elliptic: the center of the fixed subtree when that set stays strictly
     inside the ball; when it reaches the boundary the fixed subtree may be
-    unbounded and no center is guessed.
+    unbounded and no center is guessed.  A ray of more labels than the
+    vertex limit, 1 + periods * tl, is refused before it is walked.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -754,7 +749,11 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
     # gamma is trivial exactly when its conjugate core is
     if not core.tail and gamma.oracle.is_identity(core.head):
         raise TrivialElementError("delta is undefined on the trivial element")
-    cls = _classify(gamma, core, conj, max(2, -(-radius // max(1, len(core.tail)))))
+    tl = len(core.tail)
+    periods = max(2, -(-radius // max(1, tl)))
+    if 1 + periods * tl > _LIMITS["vertices"]:
+        raise ValueError(f"the axis ray within radius {radius} holds {_more_than('vertices')}")
+    cls = _classify(gamma, core, conj, periods)
     if cls.kind == HYPERBOLIC:
         return DeltaPoint(kind="end", ray=cls.axis_sample, period=core)
     fixed, touches = fixed_subtree(gamma, radius)
@@ -770,21 +769,25 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
 
 def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
     """Number of common axis vertices of two hyperbolic isometries inside
-    the radius ball."""
+    the radius ball.  Each axis is walked from its start conj L, count
+    labels each way, enough to leave the ball; conj is reduced, so the
+    start's depth is its stable-letter count, and an axis of more than the
+    vertex limit, 1 + 2 count labels, is refused before either is walked."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _same_oracle(gamma1, gamma2)
-    sets = []
+    axes = []
     for gamma in (gamma1, gamma2):
         core, conj = cyclic_reduce(gamma)
         if not core.tail:
             raise NotHyperbolicError("axes exist only for hyperbolic elements")
-        forward = _axis_labels(conj, core)
-        start = next(forward)
-        count = (-(-(radius + start._depth) // len(core.tail)) + 1) * len(core.tail)
-        pts = {start, *islice(forward, count)}
-        pts.update(islice(_axis_labels(conj, inv(core)), 1, count + 1))
-        sets.append({v for v in pts if v._depth <= radius})
+        count = (-(-(radius + len(conj.tail)) // len(core.tail)) + 1) * len(core.tail)
+        if 1 + 2 * count > _LIMITS["vertices"]:
+            raise ValueError(f"the axis within radius {radius} holds {_more_than('vertices')}")
+        # walks not yet started: no cell is built until both axes are admitted
+        forward, back = _axis_labels(conj, core), _axis_labels(conj, inv(core))
+        axes.append((islice(forward, count + 1), islice(back, 1, count + 1)))
+    sets = [{v for walk in axis for v in walk if v._depth <= radius} for axis in axes]
     return len(sets[0] & sets[1])
 
 

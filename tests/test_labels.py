@@ -21,6 +21,7 @@ from hnnkit import (
     classify,
     distance,
     fixed_subtree,
+    inv,
     make_bs,
     make_zd,
     mul,
@@ -52,13 +53,15 @@ def label_inputs(draw):
 def labels_by_every_route(oracle, words, radius):
     """Labels of the walk (``to_vertex_label``, ``act``, ``step``), of the
     public constructor and of the class walk (``ball``, ``fixed_subtree``),
-    many of them naming one vertex."""
+    many of them naming one vertex.  ``act(g, g^-1 h L)`` is h L, by a
+    resumed walk that pops back through every cell g's walk built."""
     labels = []
     for w in words:
         v = to_vertex_label(w)
         labels += [v, VertexLabel(oracle, v.path), reduce(lambda u, s: u.step(*s), v.path, base_vertex(oracle))]
     for g, h in zip(words, words[1:]):
-        labels += [act(g, to_vertex_label(h)), to_vertex_label(mul(g, h)), act(g, labels[-1])]
+        labels += [act(g, to_vertex_label(h)), to_vertex_label(mul(g, h)), act(g, labels[-1]),
+                   act(g, to_vertex_label(mul(inv(g), h)))]
     labels.append(labels[0].step(oracle.identity, 1))
     labels += ball(oracle, radius)
     for w in words:

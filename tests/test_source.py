@@ -223,6 +223,26 @@ def test_one_walk_moves_a_vertex():
     rows = {("tree.py", name) for name in ("__new__", "_class_levels", "fixed_children", "_class_walk")}
     assert outside(rows, lambda node: (
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_backtracks")) == []
+    # act and the axis walk resume _walk from where it stopped: they build no
+    # label from scratch and take no step of their own, and tree.py splices
+    # no token streams (no chain or cycle)
+    funcs = {func.name: func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+    movers = {"_walk", "_child", "step", "to_vertex_label", "VertexLabel", "act", "_class_walk", "ball"}
+    for name in ("act", "_axis_labels"):
+        called = {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(funcs[name])
+            if isinstance(node, ast.Call)
+        }
+        assert called & movers == {"_walk"}, name
+    spliced = [
+        f"tree.py:{node.lineno}"
+        for node in ast.walk(tree)
+        for name in ({node.id} if isinstance(node, ast.Name) else {node.attr} if isinstance(node, ast.Attribute)
+                     else {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else ())
+        if name in ("chain", "cycle")
+    ]
+    assert spliced == []
 
 
 def test_the_tree_keeps_no_cache():
@@ -406,12 +426,15 @@ def test_one_size_check_for_the_tree_walks():
         }
 
     # ball and fixed_subtree are one class walk, refused by one check: it
-    # alone reads the tree's limits, and it is tree.py's only size check
+    # alone reads the path-step limit, and besides it only the axis walks of
+    # delta and axes_overlap read the vertex limit, one check each
     walk = ("tree.py", "_class_walk")
-    assert reading("vertices") == reading("path steps") == {walk}
-    assert [site for site in readers if site[0] == "tree.py"] == [walk]
-    assert [site for site in refusing if site[0] == "tree.py"] == [walk]
-    assert [module for module, _ in calls].count("tree.py") == 1
+    axes = {("tree.py", "delta"), ("tree.py", "axes_overlap")}
+    assert reading("path steps") == {walk}
+    assert reading("vertices") == {walk, *axes}
+    assert {site for site in readers if site[0] == "tree.py"} == {walk, *axes}
+    assert {site for site in refusing if site[0] == "tree.py"} == {walk, *axes}
+    assert [module for module, _ in calls].count("tree.py") == 3
 
 
 def test_nothing_enumerates_the_tree_through_neighbors():

@@ -20,6 +20,7 @@ from hnnkit import (
     center,
     classify,
     conjugate,
+    cyclic_reduce,
     delta,
     distance,
     equals,
@@ -955,6 +956,28 @@ def test_axes_take_one_walk(bs23, monkeypatch):
     # that still does shows it, and an elliptic witness gets one label
     assert 0 < count(calculus.conjugate, g, h)
     assert 0 < count(classify, parse_word(bs23, "a b a^-1"))
+
+
+def test_axis_walks_past_the_vertex_limit_are_refused(bs23, monkeypatch):
+    # delta's ray holds 1 + periods * tl labels and an axis of axes_overlap
+    # 1 + 2 count, count labels each way from a start at depth len(conj.tail);
+    # past the vertex limit both are refused before a cell is built, and a
+    # request just under it answers as at the default limit
+    a = stable_word(bs23)
+    far = parse_word(bs23, "a^100 b a a^-100")
+    assert classify(far).translation_length == 1 and len(cyclic_reduce(far)[1].tail) >= 99
+    ray, overlap = delta(a, 199).ray, axes_overlap(a, a, 98)
+    assert (len(ray), overlap) == (200, 197)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 200)
+    built = count_cells(monkeypatch)
+    refused = [(lambda r: delta(a, r), 200), (lambda r: axes_overlap(a, a, r), 99),
+               (lambda r: axes_overlap(a, far, r), 2), (lambda r: axes_overlap(far, a, r), 2)]
+    for call, radius in refused:
+        with pytest.raises(ValueError, match=f"^the axis (ray )?within radius {radius} holds more than 200 vertices$"):
+            call(radius)
+    assert built == []
+    assert delta(a, 199).ray == ray and axes_overlap(a, a, 98) == overlap
+    assert built
 
 
 def test_axes_overlap_rejects_elliptic(bs23):
