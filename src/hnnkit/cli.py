@@ -3,8 +3,10 @@
 All subcommands read the group from ``--m``/``--n`` (Baumslag-Solitar mode)
 or ``--matrix`` (Z^d mode), take words as positional arguments, and print
 deterministic text; ``--json`` switches to the documented JSON schemas.
-Exit status 1 signals a parse or domain error, 2 a violated arithmetic
-hypothesis.
+Exit status 1 signals a parse or domain error, a request refused as too
+large, a BS-only subcommand in Z^d mode, or a request that ran out of memory,
+each with a one-line diagnostic on stderr; 2 signals a violated
+arithmetic hypothesis.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .calculus import (
@@ -91,125 +92,84 @@ def _make_oracle(args) -> BaseOracle:
     return make_bs(args.m, args.n)
 
 
-def _require_bs(oracle, what: str) -> BsOracle:
-    if not isinstance(oracle, BsOracle):
-        raise ValueError(f"{what} is available in BS mode only")
-    return oracle
-
-
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _verdict_json(verdict: analysis.IccVerdict) -> dict:
-    return {
-        "status": verdict.status,
-        "witness": verdict.witness_strings(),
-        "evidence": None
-        if verdict.evidence is None
-        else [{"radius": r, "orbit_size": s} for r, s in verdict.evidence],
-    }
-
-
-def _emit(args, text: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=False))
-    else:
-        print(text)
-
-
 def _run(args) -> int:
     oracle = _make_oracle(args)
-    cmd = args.command
-
-    if cmd == "reduce":
-        w = format_word(britton_reduce(parse_word(oracle, args.word)))
-        _emit(args, w, {"word": w})
-    elif cmd == "normal":
-        w = str(normalize(parse_word(oracle, args.word)))
-        _emit(args, w, {"word": w})
+    cmd, bs = args.command, isinstance(oracle, BsOracle)
+    if cmd in ("witness-unbounded", "escape", "domj") and not bs:
+        raise ValueError(f"{cmd} is available in BS mode only")
+    if cmd == "tree-dot":
+        gamma = None if args.gamma is None else parse_word(oracle, args.gamma)
+        sys.stdout.write(tree.tree_dot(oracle, args.radius, gamma))
+        return 0
+    # each subcommand makes its text even under --json, so that an integer
+    # too long for text is refused before anything is printed
+    if cmd in ("reduce", "normal"):
+        w = parse_word(oracle, args.word)
+        text = format_word(britton_reduce(w)) if cmd == "reduce" else str(normalize(w))
+        payload = {"word": text}
     elif cmd == "eq":
         res = equals(parse_word(oracle, args.word1), parse_word(oracle, args.word2))
-        _emit(args, "true" if res else "false", {"equal": res})
+        text, payload = str(res).lower(), {"equal": res}
     elif cmd == "len":
         n = length(parse_word(oracle, args.word))
-        _emit(args, str(n), {"length": n})
+        text, payload = str(n), {"length": n}
     elif cmd == "icc":
-        if args.matrix is not None:
-            verdict = analysis.icc_decide_zd(oracle.matrix)
-        else:
+        if bs:
             verdict = analysis.icc_decide_bs(args.m, args.n)
+        else:
+            verdict = analysis.icc_decide_zd(oracle.matrix)
+        text, witness, evidence = verdict.status, verdict.witness_strings(), verdict.evidence
         if verdict.status == analysis.NOT_ICC:
-            text = f"{verdict.status} witness: " + ", ".join(verdict.witness_strings())
-        else:
-            text = verdict.status
-        _emit(args, text, _verdict_json(verdict))
+            text += " witness: " + ", ".join(witness)
+        if evidence is not None:
+            evidence = [{"radius": r, "orbit_size": s} for r, s in evidence]
+        payload = {"status": verdict.status, "witness": witness, "evidence": evidence}
     elif cmd == "orbit":
-        orbit = analysis.orbit_sample(parse_word(oracle, args.word), args.radius)
-        strings = [str(nf) for nf in orbit]
-        _emit(args, "\n".join(strings), {"radius": args.radius, "orbit": strings})
+        orbit = list(map(str, analysis.orbit_sample(parse_word(oracle, args.word), args.radius)))
+        text, payload = "\n".join(orbit), {"radius": args.radius, "orbit": orbit}
     elif cmd == "folner":
-        if args.matrix is not None:
-            lam = oracle.base_letters()["e1"]
-            chain = analysis.folner_chain_ascending(oracle, lam, args.k)
-            shown = [list(h) for h in chain.elements]
-            text = "elements: " + " ".join(oracle.format_element(h) for h in chain.elements)
-            payload = {"k": chain.k, "elements": shown}
-        else:
+        if bs:
             chain = analysis.folner_chain_bs(args.m, args.n, args.k)
             text = "exponents: " + " ".join(map(_int_text, chain.elements))
             payload = {"k": chain.k, "exponents": list(chain.elements)}
+        else:
+            chain = analysis.folner_chain_ascending(oracle, oracle.base_letters()["e1"], args.k)
+            text = "elements: " + " ".join(map(oracle.format_element, chain.elements))
+            payload = {"k": chain.k, "elements": [list(h) for h in chain.elements]}
         if args.gamma is not None:
-            g = parse_word(oracle, args.gamma)
-            ratio = analysis.symdiff_ratio(chain, g)
-            text += f"\nratio: {_rat(ratio)}"
-            payload["gamma"] = args.gamma
-            payload["ratio"] = _rat(ratio)
-        _emit(args, text, payload)
+            ratio = analysis.symdiff_ratio(chain, parse_word(oracle, args.gamma))
+            payload.update(gamma=args.gamma, ratio=f"{ratio.numerator}/{ratio.denominator}")
+            text += f"\nratio: {payload['ratio']}"
     elif cmd == "classify":
         cls = tree.classify(parse_word(oracle, args.word))
+        payload = {"kind": cls.kind}
         if cls.kind == tree.HYPERBOLIC:
             text = f"{cls.kind} translation_length={cls.translation_length}"
-            payload = {
-                "kind": cls.kind,
-                "translation_length": cls.translation_length,
-                "axis_sample": [tree.label_str(v) for v in cls.axis_sample[:6]],
-            }
+            payload.update(
+                translation_length=cls.translation_length,
+                axis_sample=[tree.label_str(v) for v in cls.axis_sample[:6]],
+            )
         else:
-            text = f"{cls.kind} fixes {tree.label_str(cls.fixed_vertex)}"
-            payload = {"kind": cls.kind, "fixed_vertex": tree.label_str(cls.fixed_vertex)}
-        _emit(args, text, payload)
+            payload["fixed_vertex"] = tree.label_str(cls.fixed_vertex)
+            text = f"{cls.kind} fixes {payload['fixed_vertex']}"
     elif cmd == "fixed":
         fixed, touches = tree.fixed_subtree(parse_word(oracle, args.word), args.radius)
-        labels = sorted(tree.label_str(v) for v in fixed)
-        text = "\n".join(labels + [f"touches_boundary: {'true' if touches else 'false'}"])
-        _emit(
-            args,
-            text,
-            {"radius": args.radius, "fixed": labels, "touches_boundary": touches},
-        )
+        labels = sorted(map(tree.label_str, fixed))
+        text = "\n".join(labels + [f"touches_boundary: {str(touches).lower()}"])
+        payload = {"radius": args.radius, "fixed": labels, "touches_boundary": touches}
     elif cmd == "witness-unbounded":
-        _require_bs(oracle, "witness-unbounded")
         gamma, family = tree.unbounded_fixed_witness_bs(args.m, args.n)
         labels = [tree.label_str(family(l)) for l in range(6)]
-        text = f"gamma: {format_word(gamma)}\n" + "\n".join(labels)
-        _emit(args, text, {"gamma": format_word(gamma), "family": labels})
+        text = "\n".join([f"gamma: {format_word(gamma)}", *labels])
+        payload = {"gamma": format_word(gamma), "family": labels}
     elif cmd == "escape":
-        _require_bs(oracle, "escape")
-        words = [parse_word(oracle, w) for w in args.words]
-        n0 = analysis.escape_exponent(words, args.n_max)
-        _emit(args, str(n0), {"exponent": n0})
-    elif cmd == "tree-dot":
-        gamma = None if args.gamma is None else parse_word(oracle, args.gamma)
-        sys.stdout.write(tree.tree_dot(oracle, args.radius, gamma))
-    elif cmd == "domj":
-        params = _require_bs(oracle, "domj").params
-        # refuse a generator past the int-to-str limit before building it
-        _check_int_text(_dom_bits(params, args.j))
-        g = dom_phi_j_closed_form(params, args.j)
-        _emit(args, _int_text(g), {"generator": g})
-    else:  # pragma: no cover
-        raise ValueError(f"unknown command {cmd!r}")
+        n0 = analysis.escape_exponent([parse_word(oracle, w) for w in args.words], args.n_max)
+        text, payload = str(n0), {"exponent": n0}
+    else:  # domj; a generator past the int-to-str limit is refused before it is built
+        _check_int_text(_dom_bits(oracle.params, args.j))
+        g = dom_phi_j_closed_form(oracle.params, args.j)
+        text, payload = _int_text(g), {"generator": g}
+    print(json.dumps(payload) if args.json else text)
     return 0
 
 

@@ -616,8 +616,13 @@ def classify(gamma: HnnWord) -> IsometryClass:
     and gamma moves sample[i] to sample[i + tl] for i = 0, tl and the start
     of the last period.  Then d(v, gamma^2 v) = 2 d(v, gamma v) = 2 tl for
     v = sample[0], so gamma fixes v or has v on its axis (Serre, *Trees*,
-    I.6.4), and so has the start of the last period, as it is moved by tl."""
-    return _classify(gamma, *cyclic_reduce(gamma))
+    I.6.4), and so has the start of the last period, as it is moved by tl.
+    A sample of more labels than the vertex limit, 1 + 3 tl, is refused
+    before it is walked."""
+    core, conj = cyclic_reduce(gamma)
+    if 1 + 3 * len(core.tail) > _LIMITS["vertices"]:
+        raise ValueError(f"the axis sample holds {_more_than('vertices')}")
+    return _classify(gamma, core, conj)
 
 
 def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord, periods: int = 3) -> IsometryClass:

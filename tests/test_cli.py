@@ -195,28 +195,50 @@ def test_zd_mode(capsys):
 
 
 def test_zd_rejects_bs_only_commands(capsys):
-    code, _, err = run(capsys, "--matrix", "2,1;1,1", "domj", "--j", "2")
-    assert code == 1
-    assert "BS mode" in err
+    for argv in [["domj", "--j", "2"], ["witness-unbounded"], ["escape", "e1", "--max", "3"]]:
+        code, out, err = run(capsys, "--matrix", "2,1;1,1", *argv)
+        assert (code, out, err) == (1, "", f"error: {argv[0]} is available in BS mode only\n")
 
 
 def test_json_round_trips(capsys):
+    # exact stdout, so the key order, part of the output bytes, is pinned
+    bs23 = ["--m", "2", "--n", "3", "--json"]
     cases = [
-        (["--m", "2", "--n", "3", "--json", "reduce", "a^-1 b^3 a"], {"word": "b^2"}),
-        (["--m", "2", "--n", "3", "--json", "eq", "b", "b"], {"equal": True}),
-        (["--m", "2", "--n", "3", "--json", "len", "a"], {"length": 1}),
+        (bs23 + ["reduce", "a^-1 b^3 a"], '{"word": "b^2"}'),
+        (bs23 + ["normal", "b a b^5"], '{"word": "b^7 a b"}'),
+        (bs23 + ["eq", "b", "b"], '{"equal": true}'),
+        (bs23 + ["len", "a"], '{"length": 1}'),
+        (["--m", "2", "--n", "2", "--json", "icc"], '{"status": "NOT_ICC", "witness": ["b^2"], "evidence": null}'),
+        (bs23 + ["icc"], '{"status": "ICC", "witness": null, "evidence": null}'),
+        (["--m", "2", "--n", "-2", "--json", "orbit", "b^2", "--radius", "2"], '{"radius": 2, "orbit": ["b^-2", "b^2"]}'),
         (
-            ["--m", "2", "--n", "2", "--json", "icc"],
-            {"status": "NOT_ICC", "witness": ["b^2"], "evidence": None},
+            bs23 + ["fixed", "b^3", "--radius", "1"],
+            '{"radius": 1, "fixed": ["1", "a", "b a", "b^2 a"], "touches_boundary": true}',
         ),
-        (["--m", "2", "--n", "3", "--json", "domj", "--j", "2"], {"generator": 9}),
-        (["--m", "2", "--n", "3", "--json", "escape", "b", "--max", "6"], {"exponent": 1}),
+        (bs23 + ["classify", "a b a^-1"], '{"kind": "ELLIPTIC", "fixed_vertex": "a"}'),
+        (
+            ["--m", "4", "--n", "2", "--json", "witness-unbounded"],
+            '{"gamma": "b^2", "family": ["1", "a", "a^2", "a^3", "a^4", "a^5"]}',
+        ),
+        (
+            bs23 + ["folner", "--k", "3", "--gamma", "a"],
+            '{"k": 3, "exponents": [162, 108, 72, 48], "gamma": "a", "ratio": "1/1"}',
+        ),
+        (bs23 + ["domj", "--j", "2"], '{"generator": 9}'),
+        (bs23 + ["escape", "b", "--max", "6"], '{"exponent": 1}'),
     ]
     for argv, expected in cases:
-        code = main(argv)
-        out, _ = capsys.readouterr()
-        assert code == 0
-        assert json.loads(out) == expected
+        assert run(capsys, *argv) == (0, expected + "\n", ""), argv
+    # an exponent of 2^2201 has 663 digits: refused under --json too, before
+    # anything is printed
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(capsys, "--m", "1", "--n", "2", "--json", "folner", "--k", "2200") == (
+            1, "", "error: an integer of more than 640 digits\n"
+        )
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_json_folner_ratio(capsys):

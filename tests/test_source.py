@@ -427,14 +427,14 @@ def test_one_size_check_for_the_tree_walks():
 
     # ball and fixed_subtree are one class walk, refused by one check: it
     # alone reads the path-step limit, and besides it only the axis walks of
-    # delta and axes_overlap read the vertex limit, one check each
+    # classify, delta and axes_overlap read the vertex limit, one check each
     walk = ("tree.py", "_class_walk")
-    axes = {("tree.py", "delta"), ("tree.py", "axes_overlap")}
+    axes = {("tree.py", "classify"), ("tree.py", "delta"), ("tree.py", "axes_overlap")}
     assert reading("path steps") == {walk}
     assert reading("vertices") == {walk, *axes}
     assert {site for site in readers if site[0] == "tree.py"} == {walk, *axes}
     assert {site for site in refusing if site[0] == "tree.py"} == {walk, *axes}
-    assert [module for module, _ in calls].count("tree.py") == 3
+    assert [module for module, _ in calls].count("tree.py") == 4
 
 
 def test_nothing_enumerates_the_tree_through_neighbors():

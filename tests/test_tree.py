@@ -959,15 +959,19 @@ def test_axes_take_one_walk(bs23, monkeypatch):
 
 
 def test_axis_walks_past_the_vertex_limit_are_refused(bs23, monkeypatch):
-    # delta's ray holds 1 + periods * tl labels and an axis of axes_overlap
-    # 1 + 2 count, count labels each way from a start at depth len(conj.tail);
-    # past the vertex limit both are refused before a cell is built, and a
-    # request just under it answers as at the default limit
+    # delta's ray holds 1 + periods * tl labels, classify's sample 1 + 3 tl
+    # and an axis of axes_overlap 1 + 2 count, count labels each way from a
+    # start at depth len(conj.tail); past the vertex limit each is refused
+    # before a cell is built, and a request just under it answers as at the
+    # default limit
     a = stable_word(bs23)
     far = parse_word(bs23, "a^100 b a a^-100")
     assert classify(far).translation_length == 1 and len(cyclic_reduce(far)[1].tail) >= 99
     ray, overlap = delta(a, 199).ray, axes_overlap(a, a, 98)
     assert (len(ray), overlap) == (200, 197)
+    under, over = parse_word(bs23, "a^66"), parse_word(bs23, "b a^67 b^-1")
+    sample = classify(under).axis_sample
+    assert len(sample) == 199 and classify(over).translation_length == 67
     monkeypatch.setitem(calculus._LIMITS, "vertices", 200)
     built = count_cells(monkeypatch)
     refused = [(lambda r: delta(a, r), 200), (lambda r: axes_overlap(a, a, r), 99),
@@ -975,8 +979,11 @@ def test_axis_walks_past_the_vertex_limit_are_refused(bs23, monkeypatch):
     for call, radius in refused:
         with pytest.raises(ValueError, match=f"^the axis (ray )?within radius {radius} holds more than 200 vertices$"):
             call(radius)
+    with pytest.raises(ValueError, match="^the axis sample holds more than 200 vertices$"):
+        classify(over)
     assert built == []
     assert delta(a, 199).ray == ray and axes_overlap(a, a, 98) == overlap
+    assert classify(under).axis_sample == sample
     assert built
 
 
