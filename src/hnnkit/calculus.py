@@ -15,9 +15,10 @@ explicit conjugator certificate, and the iterated partial maps phi^j.
 Reduced words are an invariant that holds by construction.  :func:`mul`,
 :func:`inv`, :func:`britton_reduce`, the constructors :func:`identity_word`,
 :func:`base_word` and :func:`stable_word`, the word of :func:`normalize` and
-``VertexLabel.word()`` in :mod:`hnnkit.tree` return words marked pinch-free.
-A word built directly with ``HnnWord(...)`` (or by :func:`parse_word`) is
-treated as unreduced.  ``mul`` reduces an unmarked operand first; its
+``VertexLabel.word()`` in :mod:`hnnkit.tree` return words marked pinch-free,
+and so does :func:`parse_word` for a text in which no pinch is written.  A
+word built directly with ``HnnWord(...)`` is treated as unreduced.  ``mul``
+reduces an unmarked operand first; its
 pinch pass then cancels pinches only at the seam, because by Britton's
 lemma (Lyndon-Schupp, *Combinatorial Group Theory*, IV.2) no pinch can form
 anywhere else in the product of two reduced words.  ``inv`` of a marked
@@ -51,6 +52,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
+from operator import length_hint
 from typing import Any, Iterable, Iterator, Optional
 
 __all__ = [
@@ -336,9 +339,11 @@ def stable_word(oracle: BaseOracle, sign: int = 1, count: int = 1) -> HnnWord:
 
 
 def _reduced_word(oracle: BaseOracle, head, tail: tuple) -> HnnWord:
-    """A word marked pinch-free; the caller guarantees that it is."""
-    w = HnnWord(oracle, head, tail)
-    object.__setattr__(w, "_reduced", True)
+    """A word marked pinch-free; the caller guarantees that it is.  Its
+    fields are set directly, as the frozen dataclass's ``__init__`` would,
+    at half the cost of calling it."""
+    w = object.__new__(HnnWord)
+    w.__dict__.update(oracle=oracle, head=head, tail=tail, _reduced=True)
     return w
 
 
@@ -686,64 +691,126 @@ def fixed_by_some_phi_j(oracle: BaseOracle, x, j_max: int) -> Optional[int]:
 
 @lru_cache(maxsize=64)
 def _grammar_for(stable_letter: str, base_letters: tuple):
-    """A compiled pattern for one term (whitespace, then optionally a
-    letter, then optionally ``^`` and an exponent of ASCII digits), and each
-    letter's ``(kind, value)``.  Longer names are tried first, so that e.g.
-    "e12" is not read as "e1" "2"; of equal names the first listed wins.
-    Kept for oracles with the same letters, not only per oracle: other
-    libraries can evict the pattern from the re module's own cache, and
-    compiling it again costs far more than a parse."""
+    """A compiled pattern for one item of word text, and each letter's
+    ``(kind, value)``.  An item is whitespace, then either a term (a letter,
+    then optionally ``^`` and an exponent of ASCII digits) or one stray
+    visible character, so that ``findall`` reads a text item by item.
+    Longer names are tried first, so that e.g. "e12" is not read as "e1"
+    "2"; of equal names the first listed wins.  Kept for oracles with the
+    same letters, not only per oracle: other libraries can evict the
+    pattern from the re module's own cache, and compiling it again costs
+    far more than a parse."""
     letters = {stable_letter: ("stable", None)}
     letters.setdefault("t", ("stable", None))
     letters.setdefault("1", ("identity", None))
     for name, value in base_letters:
         letters.setdefault(name, ("base", value))
     names = "|".join(re.escape(name) for name in sorted(letters, key=len, reverse=True))
-    pattern = re.compile(rf"\s*(?:(?P<name>{names})(?P<caret>\s*\^\s*(?P<exp>[+-]?[0-9]+)?)?)?")
+    pattern = re.compile(
+        rf"\s*(?:(?P<name>{names})(?P<caret>\s*\^\s*(?P<exp>[+-]?[0-9]+)?)?|(?P<stray>\S))"
+    )
     return pattern, letters
+
+
+# parse_word reads a long text in windows of about this many characters, so
+# that the items of one window are all it holds at once
+_WINDOW = 1 << 15
+# whitespace with no '^' on either side: a term holds whitespace only next
+# to its '^', so this lies between two terms
+_CUT = re.compile(r"(?<=[^\s^])\s+(?=[^\s^])")
+
+
+def _window_end(pattern: re.Pattern, text: str, start: int) -> int:
+    """The end of the window of ``text`` that starts at ``start``, between
+    two items: the first cut at least ``_WINDOW`` characters on, or, where
+    none follows within another ``_WINDOW``, the end of the first item that
+    reaches that far."""
+    goal = start + _WINDOW
+    cut = _CUT.search(text, goal, goal + _WINDOW)
+    if cut:
+        return cut.start()
+    return next((m.end() for m in pattern.finditer(text, start) if m.end() >= goal), len(text))
+
+
+def _item(pattern: re.Pattern, text: str, start: int, end: int, items: list, rest) -> re.Match:
+    """The match of the item of the window ``text[start:end]`` last taken
+    from ``rest``, an iterator over the window's ``findall`` ``items``,
+    found again for the position of an error."""
+    index = len(items) - length_hint(rest) - 1
+    return next(islice(pattern.finditer(text, start, end), index, None))
 
 
 def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     """Parse word text; raises :class:`WordParseError` with the position on
     malformed input, on an exponent too long for ``int``, or past the
-    stable-letter limit.  The written form is preserved (no reduction)."""
+    stable-letter limit.  The written form is preserved (no reduction); a
+    word in which no pinch is written is already reduced, and is returned
+    marked so.
+
+    One ``findall`` per window reads the items; the last letter ``t^s x``
+    is held apart, with s = 0 for the head, and a stable letter of the
+    opposite sign pushed after it is tested once for a pinch around x."""
     pattern, letters = oracle._grammar
+    omul, opower = oracle.mul, oracle.power
     e = oracle.identity
     head, tail = e, []
-    pos, limit = 0, _LIMITS["stable letters"]
+    s, x = 0, e
+    pinched = False
+    start, n, limit = 0, len(text), _LIMITS["stable letters"]
     while True:
-        term = pattern.match(text, pos)
-        pos = term.end()
-        name = term["name"]
-        if name is None:
-            if pos == len(text):
-                return HnnWord(oracle, head, tuple(tail))
-            raise WordParseError(f"unknown letter {text[pos]!r}", pos)
-        exp = 1
-        if term["caret"] is not None:
-            if term["exp"] is None:
-                raise WordParseError("expected an integer exponent after '^'", pos)
-            try:
-                exp = int(term["exp"])
-            except ValueError:
-                # more digits than int() converts (sys.get_int_max_str_digits)
-                raise WordParseError(
-                    f"an exponent of more than {sys.get_int_max_str_digits()} digits",
-                    term.start("exp"),
-                ) from None
-        kind, value = letters[name]
-        if kind == "stable":
-            if len(tail) + abs(exp) > limit:
-                raise WordParseError(
-                    _more_than("stable letters"), term.start("exp" if term["exp"] else "name")
-                )
-            tail += [(1 if exp > 0 else -1, e)] * abs(exp)
-        elif kind == "base" and exp:
-            x = oracle.power(value, exp)
-            if tail:
-                tail[-1] = (tail[-1][0], oracle.mul(tail[-1][1], x))
-            else:
-                head = oracle.mul(head, x)
+        end = n if n - start <= _WINDOW else _window_end(pattern, text, start)
+        items = pattern.findall(text, start, end)
+        rest = iter(items)
+        for name, caret, digits, stray in rest:
+            if stray:
+                item = _item(pattern, text, start, end, items, rest)
+                raise WordParseError(f"unknown letter {stray!r}", item.start("stray"))
+            exp = 1
+            if caret:
+                if not digits:
+                    item = _item(pattern, text, start, end, items, rest)
+                    raise WordParseError("expected an integer exponent after '^'", item.end())
+                try:
+                    exp = int(digits)
+                except ValueError:
+                    # more digits than int() converts (sys.get_int_max_str_digits)
+                    item = _item(pattern, text, start, end, items, rest)
+                    raise WordParseError(
+                        f"an exponent of more than {sys.get_int_max_str_digits()} digits",
+                        item.start("exp"),
+                    ) from None
+            kind, value = letters[name]
+            if kind == "base":
+                if exp:
+                    x = omul(x, opower(value, exp))
+            elif kind == "stable" and exp:
+                # the held-apart letter counts
+                if len(tail) + (s != 0) + abs(exp) > limit:
+                    item = _item(pattern, text, start, end, items, rest)
+                    raise WordParseError(
+                        _more_than("stable letters"), item.start("exp" if digits else "name")
+                    )
+                sign = 1 if exp > 0 else -1
+                # a pinch needs opposite signs; one found is enough
+                if s == -sign and not pinched:
+                    pinched = _is_pinch(oracle, s, x, sign)
+                if s:
+                    tail.append((s, x))
+                else:
+                    head = x
+                if exp != sign:
+                    tail += [(sign, e)] * (abs(exp) - 1)
+                s, x = sign, e
+        if end == n:
+            break
+        start = end
+    if s:
+        tail.append((s, x))
+    else:
+        head = x
+    if pinched:
+        return HnnWord(oracle, head, tuple(tail))
+    return _reduced_word(oracle, head, tuple(tail))
 
 
 def format_word(w: HnnWord) -> str:

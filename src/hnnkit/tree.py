@@ -45,7 +45,7 @@ an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -583,11 +583,15 @@ def min_displacement_bfs(gamma: HnnWord, radius: int) -> tuple[int, VertexLabel]
 @dataclass(frozen=True)
 class IsometryClass:
     """ELLIPTIC with a fixed vertex witness and the cyclic-reduction
-    conjugator, or HYPERBOLIC with translation length and an axis sample."""
+    conjugator, or HYPERBOLIC with translation length and an axis sample.
+
+    Two classes compare and hash by their kind, witness, translation length
+    and sample.  The conjugator is a certificate left out of both: words
+    compare by identity, so it would make no two classes equal."""
 
     kind: str
     fixed_vertex: Optional[VertexLabel] = None
-    conjugator: Optional[HnnWord] = None
+    conjugator: Optional[HnnWord] = field(default=None, compare=False)
     translation_length: Optional[int] = None
     axis_sample: Optional[tuple[VertexLabel, ...]] = None
 

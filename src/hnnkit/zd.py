@@ -12,6 +12,7 @@ floating point or fractions."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -190,10 +191,10 @@ class ZdOracle(BaseOracle):
         return column_hnf(self.matrix + identity_matrix(self.dim))
 
     def mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
     def inv(self, x):
-        return tuple(-a for a in x)
+        return tuple(map(operator.neg, x))
 
     def in_H(self, x) -> bool:
         return True
@@ -256,7 +257,7 @@ class ZdOracle(BaseOracle):
         return letters
 
     def power(self, x, k: int):
-        return tuple(k * a for a in x)
+        return tuple(map(operator.mul, itertools.repeat(k), x))
 
     def format_element(self, x) -> str:
         parts = []

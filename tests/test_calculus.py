@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +400,112 @@ TEXT_PIECES = ["a", "b", "t", "e", "e1", "e2", "1", "2", "^", "-", "+", "0", "7"
 def test_parse_word_matches_reference(oracle, text):
     assert parse_outcome(oracle, parse_word, text) == parse_outcome(
         oracle, reference_parse_word, text)
+
+
+def match_loop_parse_word(oracle, text):
+    """parse_word as one ``pattern.match`` per term, every part of the term
+    pattern optional; a base term rebuilds the last pair of the tail, and
+    the word is left unmarked."""
+    letters = oracle._grammar[1]
+    names = "|".join(re.escape(name) for name in sorted(letters, key=len, reverse=True))
+    pattern = re.compile(rf"\s*(?:(?P<name>{names})(?P<caret>\s*\^\s*(?P<exp>[+-]?[0-9]+)?)?)?")
+    e = oracle.identity
+    head, tail = e, []
+    pos, limit = 0, calculus._LIMITS["stable letters"]
+    while True:
+        term = pattern.match(text, pos)
+        pos = term.end()
+        name = term["name"]
+        if name is None:
+            if pos == len(text):
+                return HnnWord(oracle, head, tuple(tail))
+            raise WordParseError(f"unknown letter {text[pos]!r}", pos)
+        exp = 1
+        if term["caret"] is not None:
+            if term["exp"] is None:
+                raise WordParseError("expected an integer exponent after '^'", pos)
+            try:
+                exp = int(term["exp"])
+            except ValueError:
+                raise WordParseError(
+                    f"an exponent of more than {sys.get_int_max_str_digits()} digits",
+                    term.start("exp"),
+                ) from None
+        kind, value = letters[name]
+        if kind == "stable":
+            if len(tail) + abs(exp) > limit:
+                raise WordParseError(
+                    f"more than {limit} stable letters", term.start("exp" if term["exp"] else "name")
+                )
+            tail += [(1 if exp > 0 else -1, e)] * abs(exp)
+        elif kind == "base" and exp:
+            x = oracle.power(value, exp)
+            if tail:
+                tail[-1] = (tail[-1][0], oracle.mul(tail[-1][1], x))
+            else:
+                head = oracle.mul(head, x)
+
+
+def assert_parse_matches_the_match_loop(oracle, text):
+    assert parse_outcome(oracle, parse_word, text) == parse_outcome(
+        oracle, match_loop_parse_word, text)
+    try:
+        w = parse_word(oracle, text)
+    except WordParseError:
+        return
+    # marked exactly when no pinch is written: _reduce leaves it as it is
+    unchanged = calculus._reduce(oracle, w.head, w.tail) == (w.head, w.tail)
+    assert w._reduced == unchanged
+
+
+WINDOW_PIECES = ["a", "b", "t", "e1", "e12", "1", "2", "-5", "^", "^ ", " ^", "-", "12",
+                 " ", "   ", "\t", "\u00a0", "c", "^-3", "^ 2", "^6", "^-6", "a ^ 2",
+                 "a^ -5", "b^3", "b^-4", "e2^ 2"]
+WINDOW_ORACLES = [make_bs(2, 3), make_bs(-3, 4), ZD_FIB, make_zd([[2] + [0] * 11] + [
+    [0] * i + [1] + [0] * (11 - i) for i in range(1, 12)])]
+
+
+@pytest.mark.parametrize("window", [calculus._WINDOW, 8], ids=["one window", "window 8"])
+@given(st.sampled_from(WINDOW_ORACLES),
+       st.lists(st.sampled_from(WINDOW_PIECES), max_size=24).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_word_matches_the_match_loop(window, oracle, text):
+    # a limit of 7 stable letters makes the refusal cheap to reach; the
+    # letter held apart at the end counts toward it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calculus, "_WINDOW", window)
+        patch.setitem(calculus._LIMITS, "stable letters", 7)
+        assert_parse_matches_the_match_loop(oracle, text)
+
+
+@pytest.mark.parametrize("term", ["a ^ 2", "a^ -5", "a ^-3 b", "b^-4 a^-1", "b a^6", "x", "a^ y"])
+def test_parse_cuts_windows_between_terms(bs23, monkeypatch, term):
+    # every offset of the term from the first cut after 8 characters
+    monkeypatch.setattr(calculus, "_WINDOW", 8)
+    monkeypatch.setitem(calculus._LIMITS, "stable letters", 9)
+    for pad in range(12):
+        for text in ("b " * pad + term + " b a b", "b" * pad + " " + term + " a^-1 b^3 a", term * pad):
+            assert_parse_matches_the_match_loop(bs23, text)
+
+
+@pytest.mark.parametrize(
+    "count, sep, window, mib",
+    [(10**6, " ", calculus._WINDOW, 8), (10**5, "", 2**10, 1)],
+    ids=["'b ' * 10**6", "'b' * 10**5, window 2**10"],
+)
+def test_parse_holds_one_window_at_a_time(bs23, monkeypatch, count, sep, window, mib):
+    # findall over the whole text would hold a tuple per term, about 90
+    # bytes each; a text with no whitespace is cut after a term
+    monkeypatch.setattr(calculus, "_WINDOW", window)
+    text = ("b" + sep) * count
+    tracemalloc.start()
+    try:
+        w = parse_word(bs23, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.head == count and w._reduced
+    assert peak < mib * 2**20
 
 
 # --- properties -----------------------------------------------------------

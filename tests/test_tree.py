@@ -382,10 +382,13 @@ def test_classify_conjugate_elliptic(bs23):
     assert act(parse_word(bs23, "a b^3 a^-1"), cls.fixed_vertex) == cls.fixed_vertex
 
 
-@pytest.mark.parametrize("text", ["a^-1 b a b a", "a^-1 b^3 a a b"])
+@pytest.mark.parametrize("text", ["a^-1 b a b a", "a^-1 b^3 a a b", "b a b^4 a^-1 a"])
 def test_classify_reduces_its_input_once(bs23, monkeypatch, text):
-    # the input has pinches; the core, the conjugator and every word the
-    # checks multiply by are built reduced
+    # a parse with a written pinch is reduced once, and one with none (1 is
+    # not in 3Z, so a^-1 b a is no pinch) is parsed marked and never; the
+    # core, the conjugator and every word the checks multiply by are built
+    # reduced
+    written_pinch = text != "a^-1 b a b a"
     g = parse_word(bs23, text)
     calls = []
     real = calculus._reduce
@@ -396,7 +399,17 @@ def test_classify_reduces_its_input_once(bs23, monkeypatch, text):
 
     monkeypatch.setattr(calculus, "_reduce", _reduce)
     classify(g)
-    assert calls == [(bs23, g.head, g.tail)]
+    assert calls == [(bs23, g.head, g.tail)] * written_pinch
+
+
+def test_isometry_classes_compare_without_their_conjugator(bs23):
+    hyperbolic = [classify(parse_word(bs23, "a^66")) for _ in range(2)]
+    elliptic = [classify(parse_word(bs23, "b^3")) for _ in range(2)]
+    for one, other in (hyperbolic, elliptic):
+        assert one.conjugator is not other.conjugator
+        assert one == other and hash(one) == hash(other)
+    assert hyperbolic[0].kind == HYPERBOLIC and elliptic[0].kind == ELLIPTIC
+    assert hyperbolic[0] != elliptic[0]
 
 
 def test_min_displacement_examples(bs23):
