@@ -112,6 +112,7 @@ _LIMITS = {
     "path steps": 10**7,
     "normal forms": 10**5,
     "digits": 10**7,
+    "dimensions": 100,
 }
 
 
@@ -567,10 +568,18 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     the core is canonical); the one starting at its k-th syllable is
     conjugated by the prefix of c up to syllable i + k.
 
-    Cost: the peel is O(n).  The rotation scan (see :func:`_least_rotation`)
-    makes O(n) carry steps when carries die out within a bounded distance
-    and O(n^2) at worst.
+    Cost: the peel (see :func:`_peel`) is O(n).  The rotation scan (see
+    :func:`_least_rotation`) makes O(n) carry steps when carries die out
+    within a bounded distance and O(n^2) at worst.
     """
+    return _core(*_peel(w))
+
+
+def _peel(w: HnnWord) -> tuple[HnnWord, int, int, Any]:
+    """The peel of :func:`cyclic_reduce`: ``(c, i, j, x)`` for c the reduced
+    word of w after i wrap pinches are removed from either end, so that the
+    core has j - i stable letters.  x is lam_i y, the base element of an
+    elliptic core, when i == j, and otherwise the wrap join lam_j y lam_i."""
     oracle = w.oracle
     c = britton_reduce(w)
     lam = (c.head, *(x for _, x in c.tail))
@@ -579,13 +588,20 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
         wrap = oracle.mul(oracle.mul(lam[j], y), lam[i])
         x = _unpinch(oracle, c.tail[j - 1][0], wrap, c.tail[i][0])
         if x is None:
-            break
+            return c, i, j, wrap
         i, j, y = i + 1, j - 1, x
+    return c, i, j, oracle.mul(lam[i], y)
+
+
+def _core(c: HnnWord, i: int, j: int, x) -> tuple[HnnWord, HnnWord]:
+    """``(core, g)`` of :func:`cyclic_reduce` from its peel ``(c, i, j, x)``:
+    an elliptic core at once, a hyperbolic one by the rotation scan."""
+    oracle = c.oracle
     if i == j:
         e = oracle.identity
         conj = (c.head, c.tail[: i - 1] + ((c.tail[i - 1][0], e),)) if i else (e, ())
-        return base_word(oracle, oracle.mul(lam[i], y)), _reduced_word(oracle, *conj)
-    k, head, tail = _least_rotation(oracle, c.tail[i : j - 1] + ((c.tail[j - 1][0], wrap),))
+        return base_word(oracle, x), _reduced_word(oracle, *conj)
+    k, head, tail = _least_rotation(oracle, c.tail[i : j - 1] + ((c.tail[j - 1][0], x),))
     return _reduced_word(oracle, head, tail), _reduced_word(oracle, c.head, c.tail[: i + k])
 
 

@@ -54,7 +54,9 @@ from .calculus import (
     HnnWord,
     VerificationError,
     _LIMITS,
+    _core,
     _more_than,
+    _peel,
     _reduced_word,
     _same_oracle,
     _unpinch,
@@ -622,11 +624,13 @@ def classify(gamma: HnnWord) -> IsometryClass:
     v = sample[0], so gamma fixes v or has v on its axis (Serre, *Trees*,
     I.6.4), and so has the start of the last period, as it is moved by tl.
     A sample of more labels than the vertex limit, 1 + 3 tl, is refused
-    before it is walked."""
-    core, conj = cyclic_reduce(gamma)
-    if 1 + 3 * len(core.tail) > _LIMITS["vertices"]:
+    after the O(n) peel of the cyclic reduction, which gives tl, and before
+    its rotation scan."""
+    peel = _peel(gamma)
+    _, i, j, _ = peel
+    if 1 + 3 * (j - i) > _LIMITS["vertices"]:
         raise ValueError(f"the axis sample holds {_more_than('vertices')}")
-    return _classify(gamma, core, conj)
+    return _classify(gamma, *_core(*peel))
 
 
 def _classify(gamma: HnnWord, core: HnnWord, conj: HnnWord, periods: int = 3) -> IsometryClass:
@@ -750,18 +754,22 @@ def delta(gamma: HnnWord, radius: int) -> DeltaPoint:
     Elliptic: the center of the fixed subtree when that set stays strictly
     inside the ball; when it reaches the boundary the fixed subtree may be
     unbounded and no center is guessed.  A ray of more labels than the
-    vertex limit, 1 + periods * tl, is refused before it is walked.
+    vertex limit, 1 + periods * tl, is refused after the peel of the cyclic
+    reduction and before its rotation scan, as in :func:`classify`.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    core, conj = cyclic_reduce(gamma)
-    # gamma is trivial exactly when its conjugate core is
-    if not core.tail and gamma.oracle.is_identity(core.head):
+    peel = _peel(gamma)
+    _, i, j, x = peel
+    tl = j - i
+    # gamma is trivial exactly when its conjugate core is; x is that core
+    # when it is elliptic
+    if not tl and gamma.oracle.is_identity(x):
         raise TrivialElementError("delta is undefined on the trivial element")
-    tl = len(core.tail)
     periods = max(2, -(-radius // max(1, tl)))
     if 1 + periods * tl > _LIMITS["vertices"]:
         raise ValueError(f"the axis ray within radius {radius} holds {_more_than('vertices')}")
+    core, conj = _core(*peel)
     cls = _classify(gamma, core, conj, periods)
     if cls.kind == HYPERBOLIC:
         return DeltaPoint(kind="end", ray=cls.axis_sample, period=core)

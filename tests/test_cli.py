@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hnnkit import tree
+from hnnkit import calculus, tree
 from hnnkit.cli import main
 
 # the CLI calls the benchmark records, with their exit codes and stdout
@@ -79,6 +79,18 @@ def test_huge_stable_exponent_is_refused(capsys):
     code, out, err = run(capsys, "--m", "2", "--n", "3", "len", "a^10000000000000000000")
     assert (code, out) == (1, "")
     assert err == "error: more than 1000000 stable letters (at position 2)\n"
+
+
+def test_icc_past_the_dimension_limit_is_refused(capsys, monkeypatch):
+    # only the root-of-unity test is refused: the word calculus over the
+    # same oracle still answers
+    monkeypatch.setitem(calculus._LIMITS, "dimensions", 3)
+    matrix = "2,1,0,0;0,2,1,0;0,0,2,1;0,0,0,2"
+    assert run(capsys, "--matrix", matrix, "icc") == (
+        1, "", "error: the root-of-unity test of a matrix of more than 3 dimensions\n")
+    assert run(capsys, "--matrix", matrix, "normal", "t e1^2 t^-1") == (0, "e1\n", "")
+    monkeypatch.setitem(calculus._LIMITS, "dimensions", 4)
+    assert run(capsys, "--matrix", matrix, "icc") == (0, "ICC\n", "")
 
 
 @pytest.mark.parametrize(

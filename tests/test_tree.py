@@ -861,14 +861,18 @@ def test_delta_rejects_trivial(bs23):
 
 
 def test_delta_reduces_once(bs23, zd_fib, monkeypatch):
-    # one cyclic reduction decides triviality, the class and the ray
+    # one cyclic reduction decides triviality, the class and the ray: its
+    # peel once, and its rotation scan once unless gamma is trivial
     calls = []
 
-    def counted(w):
-        calls.append(w)
-        return calculus.cyclic_reduce(w)
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(tree, "cyclic_reduce", counted)
+    monkeypatch.setattr(tree, "_peel", counted(calculus._peel))
+    monkeypatch.setattr(tree, "_core", counted(calculus._core))
     cases = [(bs23, "b a b^-1 a", "end"), (bs23, "b", "vertex"), (bs23, "b^3", "possibly_unbounded"),
              (bs23, "a^-1 b^3 a b^-2", None), (zd_fib, "e1 t e2 t^-1 e1^-1", "possibly_unbounded"),
              (zd_fib, "t e1 t^-1 e1 e1^-1 t e1^-1 t^-1", None)]
@@ -879,7 +883,7 @@ def test_delta_reduces_once(bs23, zd_fib, monkeypatch):
                 delta(parse_word(oracle, text), 5)
         else:
             assert delta(parse_word(oracle, text), 5).kind == kind
-        assert len(calls) == 1, text
+        assert calls == (["_peel"] if kind is None else ["_peel", "_core"]), text
 
 
 def test_delta_equivariance_elliptic(bs23):
@@ -998,6 +1002,33 @@ def test_axis_walks_past_the_vertex_limit_are_refused(bs23, monkeypatch):
     assert delta(a, 199).ray == ray and axes_overlap(a, a, 98) == overlap
     assert classify(under).axis_sample == sample
     assert built
+
+
+def test_axis_refusals_come_before_the_rotation_scan(bs23, monkeypatch):
+    # the translation length is known after the O(n) peel of the cyclic
+    # reduction, so classify and delta refuse past the vertex limit before
+    # the rotation scan, which is O(n^2) on an aperiodic core
+    gamma = parse_word(bs23, " ".join(f"a b^{k}" for k in range(1, 40)))
+    cls, ray = classify(gamma), delta(gamma, 100).ray
+    assert cls.translation_length == 39 and len(ray) == 1 + 3 * 39
+
+    def scan(*args):
+        raise AssertionError("the rotation scan ran")
+
+    monkeypatch.setattr(calculus, "_least_rotation", scan)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 117)
+    with pytest.raises(ValueError, match="^the axis sample holds more than 117 vertices$"):
+        classify(gamma)
+    with pytest.raises(ValueError, match="^the axis ray within radius 100 holds more than 117 vertices$"):
+        delta(gamma, 100)
+    # under the limit the scan runs, so the refusals above did skip it
+    with pytest.raises(AssertionError, match="the rotation scan ran"):
+        delta(gamma, 78)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 118)
+    with pytest.raises(AssertionError, match="the rotation scan ran"):
+        classify(gamma)
+    monkeypatch.undo()
+    assert classify(gamma) == cls and delta(gamma, 100).ray == ray
 
 
 def test_axes_overlap_rejects_elliptic(bs23):

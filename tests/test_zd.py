@@ -5,6 +5,8 @@ from functools import cache
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnkit import (
     DomainError,
@@ -16,12 +18,16 @@ from hnnkit import (
     parse_matrix,
     parse_word,
 )
+from hnnkit import calculus
 from hnnkit.zd import (
+    _charpoly,
     column_hnf,
     cyclotomic_order_candidates,
     det_int,
+    identity_matrix,
     mat_mul,
     mat_pow,
+    mat_sub,
     mat_vec,
 )
 
@@ -140,6 +146,48 @@ def reference_cyclotomic_route(M):
     return None
 
 
+def reference_power_route(M):
+    """Smallest candidate k with det(M^k - I) = 0, the powers built one
+    multiplication at a time.  As det(M^k - I) is the product of
+    det(Phi_e(M)) over the divisors e of k, and each such e is a candidate,
+    this is the least candidate k with Phi_k(M) singular."""
+    M = tuple(map(tuple, M))
+    ident = identity_matrix(len(M))
+    candidates = cyclotomic_order_candidates(len(M))
+    P = ident
+    for k in range(1, candidates[-1] + 1):
+        P = mat_mul(P, M)
+        if k in candidates and det_int(mat_sub(P, ident)) == 0:
+            return k
+    return None
+
+
+def with_cyclotomic_block(M, k):
+    """M with its leading block replaced by the companion matrix of Phi_k
+    and the block below it cleared: block upper triangular, so Phi_k
+    divides its characteristic polynomial."""
+    phi = _cyclotomic(k)
+    n = len(phi) - 1
+    M = [list(row) for row in M]
+    for i in range(len(M)):
+        for j in range(n):
+            M[i][j] = (1 if i == j + 1 else 0) if i < n else 0
+        if i < n:
+            M[i][n - 1] = -phi[i]
+    return M
+
+
+def conjugate_elementary(M, i, j, s):
+    """E M E^-1 for E = I + s e_ij, i != j: add s times row j to row i, then
+    subtract s times column i from column j.  Same eigenvalues, no visible
+    block."""
+    M = [list(row) for row in M]
+    M[i] = [x + s * y for x, y in zip(M[i], M[j])]
+    for row in M:
+        row[j] -= s * row[i]
+    return M
+
+
 def seeded_matrices(dim, count, seed):
     """Matrices with entries in [-3, 3]; every fourth has a last row that
     combines the others, so it is singular."""
@@ -175,6 +223,77 @@ def test_root_of_unity_matches_the_cyclotomic_route(dim):
         assert k == reference_cyclotomic_route(M), M
         found.add(k)
     assert None in found and len(found) > 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_root_of_unity_matches_the_power_route(dim):
+    # seeded matrices, a quarter of them singular, then each candidate's
+    # companion block, hidden by an elementary conjugation
+    rng = random.Random(505 + dim)
+    cases = seeded_matrices(dim, 60, 505 + dim)
+    for k in cyclotomic_order_candidates(dim):
+        for M in seeded_matrices(dim, 4, 606 + k):
+            M = with_cyclotomic_block(M, k)
+            if dim > 1:
+                i, j = rng.sample(range(dim), 2)
+                M = conjugate_elementary(M, i, j, rng.choice([-2, -1, 1, 2]))
+            cases.append(M)
+    found = set()
+    for M in cases:
+        k = has_root_of_unity_eigenvalue(M)
+        assert k == reference_power_route(M), M
+        found.add(k)
+    assert None in found and found >= set(cyclotomic_order_candidates(dim))
+
+
+@st.composite
+def root_test_matrices(draw):
+    """Matrices of dimension 1 to 5, entries in [-3, 3]: some with a last
+    row combining the others, some with a cyclotomic companion block, then
+    conjugated by elementary matrices."""
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    M = draw(st.lists(row, min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(["plain", "singular", "cyclotomic"]))
+    if kind == "singular":
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=dim - 1, max_size=dim - 1))
+        M[-1] = [sum(c * r[j] for c, r in zip(coeffs, M)) for j in range(dim)]
+    elif kind == "cyclotomic":
+        M = with_cyclotomic_block(M, draw(st.sampled_from(cyclotomic_order_candidates(dim))))
+    if dim > 1:
+        for i, j, s in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(1, dim - 1),
+                                               st.integers(-2, 2)), max_size=2)):
+            M = conjugate_elementary(M, i, (i + j) % dim, s)
+    return M
+
+
+@given(root_test_matrices())
+@settings(max_examples=300, deadline=None)
+def test_root_of_unity_matches_the_power_route_on_random_matrices(M):
+    assert has_root_of_unity_eigenvalue(M) == reference_power_route(M)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 7])
+def test_charpoly_is_det_of_x_minus_m(dim):
+    # a polynomial of degree d is fixed by its values at d + 1 points
+    for M in seeded_matrices(dim, 20, 707 + dim):
+        chi = _charpoly(M)
+        assert len(chi) == dim + 1 and chi[-1] == 1
+        for x in range(-(dim // 2), dim - dim // 2 + 1):
+            xI_M = tuple(tuple(x * (i == j) - a for j, a in enumerate(row)) for i, row in enumerate(M))
+            assert sum(c * x**i for i, c in enumerate(chi)) == det_int(xI_M), (M, x)
+
+
+def test_root_test_refuses_past_the_dimension_limit(monkeypatch):
+    # the characteristic polynomial costs about d^4 steps: a matrix past
+    # the limit is refused before any of them
+    monkeypatch.setitem(calculus._LIMITS, "dimensions", 3)
+    monkeypatch.setattr("hnnkit.zd._charpoly", None)
+    M = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="^the root-of-unity test of a matrix of more than 3 dimensions$"):
+        has_root_of_unity_eigenvalue(M)
+    monkeypatch.undo()
+    assert has_root_of_unity_eigenvalue(M) is None
 
 
 def test_make_zd_rejects_singular():
