@@ -22,17 +22,14 @@ from .calculus import (
     VerificationError,
     _LIMITS,
     _more_than,
-    _nf_lmul_letter,
-    _nf_rmul_letter,
+    _nf_conjugate,
     _phi_iterates,
     _reduced_word,
     _seam,
     base_word,
     britton_reduce,
     format_word,
-    identity_word,
     inv,
-    mul,
     normalize,
     phi_iter,
     stable_word,
@@ -92,28 +89,28 @@ class IccVerdict:
         return sorted(format_word(w) for w in self.witness)
 
 
-def _letter_conjugations(oracle: BaseOracle) -> list[tuple[tuple, tuple]]:
-    """``(l, l^-1)`` for the letters l = t, t^-1, then each base generator
-    and its inverse, as the ``(sign, x)`` letters of ``_nf_*_letter``."""
+def _letters(oracle: BaseOracle) -> list[tuple]:
+    """The letters t, t^-1, then each base generator and its inverse, as
+    the ``(sign, x)`` syllables of ``_nf_conjugate``."""
     letters = [(1, oracle.identity), (-1, oracle.identity)]
     for g in oracle.generators():
         letters += [(0, g), (0, oracle.inv(g))]
-    return [(letter, letters[i ^ 1]) for i, letter in enumerate(letters)]
+    return letters
 
 
 def verify_finite_class(oracle: BaseOracle, words: Sequence[HnnWord]) -> None:
     """Check that ``words`` is a nonempty identity-free set closed under
     conjugation by every group generator; raises VerificationError.  Each
-    word is normalized once, and its conjugates are made from its normal
-    form by one letter on each side."""
+    word is normalized once, and its conjugates by the letters are made
+    from its normal form, one ``_nf_conjugate`` step each."""
     if not words:
         raise VerificationError("witness set is empty")
     keys = {normalize(w).key() for w in words}
-    if normalize(identity_word(oracle)).key() in keys:
+    if (oracle.identity, ()) in keys:
         raise VerificationError("witness set contains the identity")
-    for letter, inverse in _letter_conjugations(oracle):
+    for letter in _letters(oracle):
         for nf in keys:
-            if _nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter, nf), inverse) not in keys:
+            if _nf_conjugate(oracle, letter, nf) not in keys:
                 gen = stable_word(oracle, letter[0]) if letter[0] else base_word(oracle, letter[1])
                 raise VerificationError(
                     f"witness set is not closed under conjugation by {format_word(gen)}"
@@ -140,9 +137,11 @@ def icc_decide_bs(m: int, n: int) -> IccVerdict:
 def icc_decide_zd(matrix) -> IccVerdict:
     """The ascending extension of Z^d by an injective integer matrix is ICC
     exactly when no eigenvalue is a root of unity.  In the negative case the
-    witness is the phi-orbit of a nonzero integer vector fixed by phi^k."""
+    witness is the phi-orbit of a nonzero integer vector fixed by phi^k.
+    The root test refuses a matrix past the dimension limit before the
+    determinant that ``make_zd`` checks is computed."""
+    k = has_root_of_unity_eigenvalue(matrix)
     oracle = make_zd(matrix)
-    k = has_root_of_unity_eigenvalue(oracle.matrix)
     if k is None:
         return IccVerdict(ICC)
     lam = integer_fixed_vector(oracle.matrix, k)
@@ -222,20 +221,20 @@ def _orbit_layers(x: HnnWord) -> Iterator[set]:
     2, ...  The generator ball B_r is B_{r-1} and l B_{r-1} for the
     one-letter words l, so radius r adds only the l c l^-1 with c first
     reached at radius r - 1.  Normal forms are unique (Britton's lemma), so
-    l c l^-1 is made from that of c by one letter on each side; only ``x``
-    is normalized in full.  The BFS stops after a layer that adds nothing,
-    and cuts short the layer that takes the set past
+    l c l^-1 is made from that of c by one ``_nf_conjugate`` step; only
+    ``x`` is normalized in full.  The BFS stops after a layer that adds
+    nothing, and cuts short the layer that takes the set past
     ``_LIMITS["normal forms"]``, which it yields last."""
     oracle, limit = x.oracle, _LIMITS["normal forms"]
-    steps = _letter_conjugations(oracle)
+    letters = _letters(oracle)
     frontier = [normalize(x).key()]
     seen = set(frontier)
     while frontier:
         yield seen
         layer = []
         for c in frontier:
-            for letter, inverse in steps:
-                d = _nf_rmul_letter(oracle, _nf_lmul_letter(oracle, letter, c), inverse)
+            for letter in letters:
+                d = _nf_conjugate(oracle, letter, c)
                 if d not in seen:
                     seen.add(d)
                     layer.append(d)
@@ -372,8 +371,10 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
     base element from H, which for BS(m, n) holds exactly when n does not
     divide m (some prime has a strictly larger valuation in n than in m, so
     the valuation drops at every step; if n | m the element b^n never
-    leaves H).  Refuses otherwise.  The scan stops before n_max once every
-    conjugate is outside the base group for good.
+    leaves H).  Refuses otherwise.  Each x is normalized once, and each
+    step conjugates its normal form by a^-1, one ``_nf_conjugate`` step.
+    The scan stops before n_max once every conjugate is outside the base
+    group for good.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -390,18 +391,17 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
         raise HypothesisViolationError(
             f"BS({m},{n}): {n} divides {m}, so phi^k(b^{n}) stays in H forever"
         )
-    current = [britton_reduce(w) for w in words]
-    for w in current:
-        if not w.tail and oracle.is_identity(w.head):
-            raise ValueError("every element of F must be nontrivial")
-    a, a_inv = stable_word(oracle, 1), stable_word(oracle, -1)
+    current = [normalize(w).key() for w in words]
+    if (oracle.identity, ()) in current:
+        raise ValueError("every element of F must be nontrivial")
+    a_inv = (-1, oracle.identity)
     run_start: Optional[int] = None
-    # the words inside at each step, formatted only for a refusal: an
-    # answer that is an integer must not fail on a word's text
-    trace: list[tuple[int, list[HnnWord]]] = []
+    # the base elements inside at each step, formatted only for a refusal:
+    # an answer that is an integer must not fail on an element's text
+    trace: list[tuple[int, list]] = []
     for step in range(1, n_max + 1):
-        current = [mul(mul(a_inv, w), a) for w in current]
-        inside = [w for w in current if not w.tail]
+        current = [_nf_conjugate(oracle, a_inv, nf) for nf in current]
+        inside = [head for head, tail in current if not tail]
         trace.append((step, inside))
         if inside:
             run_start = None
@@ -409,13 +409,14 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
             run_start = step
         # a word outside stays outside for good when its a-exponent sum is
         # nonzero, or when it reads a^-1 ... a, a shape conjugation by a
-        # keeps with no pinch (Britton's lemma): then the run is final
+        # keeps with no pinch (Britton's lemma): then the run is final.  Its
+        # normal form has the signs of its reduced words
         if run_start is not None and all(
-            sum(s for s, _ in w.tail) or (w.tail[0][0], w.tail[-1][0]) == (-1, 1) for w in current
+            sum(s for s, _ in tail) or (tail[0][0], tail[-1][0]) == (-1, 1) for _, tail in current
         ):
             return run_start
     if run_start is None:
-        texts = [(step, [format_word(w) for w in inside]) for step, inside in trace]
+        texts = [(step, [oracle.format_element(x) for x in inside]) for step, inside in trace]
         raise EscapeExhaustionError(
             f"no escape exponent up to n_max = {n_max}; "
             f"still inside the base group: {texts[-1][1]}",

@@ -30,10 +30,10 @@ t k t^-1 = phi^-1(k) for k in K, is written out once: ``_is_pinch`` tests
 membership, ``_unpinch`` also applies phi or phi^-1, and ``_split`` is the
 carry step of a normal form, which splits a syllable by its coset and maps
 the subgroup part across the stable letter; ``_carry`` runs it right to left
-for :func:`normalize` and ``_nf_rmul_letter``.  ``_nf_lmul_letter`` and
-``_nf_rmul_letter`` turn a normal form into that of its product with one
-letter; :func:`cyclic_reduce` builds its rotations, and
-:mod:`hnnkit.analysis` its conjugacy orbits, by them.
+for :func:`normalize` and ``_nf_conjugate``.  ``_nf_conjugate`` turns a
+normal form into that of its conjugate by one syllable t^s x;
+:func:`cyclic_reduce` builds its rotations, and :mod:`hnnkit.analysis` its
+conjugacy orbits, finite-class checks and escape exponents, by it.
 
 The two loops every word operation runs, the carry ``_carry`` and the pinch
 pass ``_seam`` (``_reduce`` is its entry for a whole token stream), call the
@@ -394,37 +394,31 @@ def _split(oracle: BaseOracle, sign: int, x, next_sign: int):
     return carry, rep
 
 
-def _nf_lmul_letter(oracle: BaseOracle, letter: tuple[int, Any], nf: tuple) -> tuple:
-    """The normal form ``(head, tail)`` of ``letter * w`` for the normal form
-    ``nf`` of w; ``letter`` is ``(sign, x)``, the stable letter t^sign for
-    sign +-1 and the base element x for sign 0.  Only the front changes: a
-    stable letter cancels the first one when they pinch around the head,
-    and splits the head into a carry and a representative otherwise."""
-    sign, x = letter
+def _nf_conjugate(oracle: BaseOracle, syllable: tuple[int, Any], nf: tuple) -> tuple:
+    """The normal form ``(head, tail)`` of u w u^-1 for the normal form
+    ``nf`` of w and the syllable ``(sign, x)``, u = t^sign x, with sign 0
+    for the base element x alone.  Only the two ends change (Britton's
+    lemma).  x joins the head and x^-1 starts a :func:`_carry`, which stops
+    at its first identity carry.  Then t^sign cancels the first stable
+    letter when the two pinch around the head, and splits the head into a
+    carry and a representative otherwise; t^-sign cancels the last one when
+    they pinch, which for a representative means it is the identity, and is
+    appended otherwise."""
+    sign, x = syllable
     head, tail = nf
+    if not oracle.is_identity(x):
+        head, tail = _carry(oracle, oracle.mul(x, head), tail, oracle.inv(x), canonical=True)
     if not sign:
-        return oracle.mul(x, head), tail
-    if tail:
-        y = _unpinch(oracle, sign, head, tail[0][0])
-        if y is not None:
-            return oracle.mul(y, tail[0][1]), tail[1:]
-    carry, rep = _split(oracle, sign, head, tail[0][0] if tail else 0)
-    return carry, ((sign, rep),) + tail
-
-
-def _nf_rmul_letter(oracle: BaseOracle, nf: tuple, letter: tuple[int, Any]) -> tuple:
-    """The normal form of ``w * letter``, as for :func:`_nf_lmul_letter`.  A
-    stable letter cancels the last one when they pinch, which for a
-    representative means it is the identity, and is appended otherwise; a
-    base letter starts a :func:`_carry`, which stops at the first identity
-    carry."""
-    sign, x = letter
-    head, tail = nf
-    if sign:
-        if tail and tail[-1][0] == -sign and oracle.is_identity(tail[-1][1]):
-            return head, tail[:-1]
-        return head, tail + ((sign, oracle.identity),)
-    return _carry(oracle, head, tail, x, canonical=True)
+        return head, tail
+    y = _unpinch(oracle, sign, head, tail[0][0]) if tail else None
+    if y is None:
+        head, rep = _split(oracle, sign, head, tail[0][0] if tail else 0)
+        tail = ((sign, rep),) + tail
+    else:
+        head, tail = oracle.mul(y, tail[0][1]), tail[1:]
+    if tail and tail[-1][0] == sign and oracle.is_identity(tail[-1][1]):
+        return head, tail[:-1]
+    return head, tail + ((-sign, oracle.identity),)
 
 
 def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
@@ -432,7 +426,8 @@ def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
     element x, by one right-to-left pass: each lam_i times the carry (x at
     first) is split by :func:`_split`, its representative replaces it and
     the carry moves left.  When the tail already holds representatives
-    (``canonical``), the pass stops at the first identity carry."""
+    (``canonical``, as in :func:`_nf_conjugate`), the pass stops at the
+    first identity carry; :func:`normalize` runs it to the head."""
     if oracle._kernels:
         return oracle._carry_kernel(head, tail, x, canonical)
     pairs = list(tail)
@@ -611,11 +606,9 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, tup
     text (the least k on a tie).
 
     Rotation 0 is normalized in full, then rotations n-1, ..., 1, each
-    conjugated from the one before by its first syllable t^s lam:
-    rotation k + 1 times lam^-1 t^-s is rotation k less that syllable, and
-    t^s lam times that is rotation k.  So each rotation is two letters of
-    :func:`_nf_rmul_letter` and two of :func:`_nf_lmul_letter` from the
-    last one; the carry of lam^-1 stops at its first identity carry.
+    conjugated from the one before by its first syllable t^s lam: rotation
+    k is t^s lam (rotation k + 1) lam^-1 t^-s, one :func:`_nf_conjugate`
+    step, whose carry of lam^-1 stops at its first identity carry.
     Rotation k + q is rotation k for the least period q of the syllables.
     """
     # every adjacency but the wrap join lies in the pinch-free core
@@ -623,15 +616,10 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, tup
         raise VerificationError("rotation of a cyclic core must stay reduced")
     n = len(syllables)
     q = next(q for q in range(1, n + 1) if n % q == 0 and syllables[q:] == syllables[: n - q])
-    e = oracle.identity
-    nf = normalize(_reduced_word(oracle, e, syllables)).key()
+    nf = normalize(_reduced_word(oracle, oracle.identity, syllables)).key()
     best = (0, *nf)
     for k in range(q - 1, 0, -1):
-        sign, lam = syllables[k]
-        nf = _nf_rmul_letter(oracle, nf, (0, oracle.inv(lam)))
-        nf = _nf_rmul_letter(oracle, nf, (-sign, e))
-        nf = _nf_lmul_letter(oracle, (0, lam), nf)
-        nf = _nf_lmul_letter(oracle, (sign, e), nf)
+        nf = _nf_conjugate(oracle, syllables[k], nf)
         order = _compare_text(_format_chunks(oracle, *nf), _format_chunks(oracle, *best[1:]))
         # rotation 0 came first, then the k run down: a tie goes to k unless
         # the best is rotation 0

@@ -62,7 +62,6 @@ from .calculus import (
     _unpinch,
     base_word,
     britton_reduce,
-    cyclic_reduce,
     format_word,
     inv,
 )
@@ -789,18 +788,28 @@ def axes_overlap(gamma1: HnnWord, gamma2: HnnWord, radius: int) -> int:
     the radius ball.  Each axis is walked from its start conj L, count
     labels each way, enough to leave the ball; conj is reduced, so the
     start's depth is its stable-letter count, and an axis of more than the
-    vertex limit, 1 + 2 count labels, is refused before either is walked."""
+    vertex limit, 1 + 2 count labels, is refused before either is walked.
+    conj has at least i stable letters for the i wrap pinches of the peel
+    of the cyclic reduction, and count grows with its length, so an axis
+    past the limit at i is refused before the rotation scan, as in
+    :func:`classify`."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _same_oracle(gamma1, gamma2)
     axes = []
     for gamma in (gamma1, gamma2):
-        core, conj = cyclic_reduce(gamma)
-        if not core.tail:
+        peel = _peel(gamma)
+        _, i, j, _ = peel
+        if i == j:
             raise NotHyperbolicError("axes exist only for hyperbolic elements")
-        count = (-(-(radius + len(conj.tail)) // len(core.tail)) + 1) * len(core.tail)
-        if 1 + 2 * count > _LIMITS["vertices"]:
-            raise ValueError(f"the axis within radius {radius} holds {_more_than('vertices')}")
+        # checked at the least length of conj first, then at its own
+        for depth in (i, None):
+            if depth is None:
+                core, conj = _core(*peel)
+                depth = len(conj.tail)
+            count = (-(-(radius + depth) // (j - i)) + 1) * (j - i)
+            if 1 + 2 * count > _LIMITS["vertices"]:
+                raise ValueError(f"the axis within radius {radius} holds {_more_than('vertices')}")
         # walks not yet started: no cell is built until both axes are admitted
         forward, back = _axis_labels(conj, core), _axis_labels(conj, inv(core))
         axes.append((islice(forward, count + 1), islice(back, 1, count + 1)))

@@ -45,7 +45,9 @@ from hnnkit import (
     thm1_hypothesis_bs,
 )
 from hnnkit.analysis import verify_finite_class
-from hnnkit.calculus import _nf_lmul_letter, _nf_rmul_letter
+from hnnkit.calculus import _nf_conjugate
+
+from conftest import protocol_bs
 
 
 def generator_letter_words(oracle):
@@ -189,6 +191,29 @@ def test_icc_zd_rejects_singular():
         icc_decide_zd([[1, 1], [1, 1]])
 
 
+def test_icc_zd_refuses_past_the_dimension_limit_before_the_determinant(monkeypatch):
+    # make_zd's check det(M) != 0 costs about as much as the root test: a
+    # matrix past the dimension limit is refused before either
+    monkeypatch.setitem(calculus._LIMITS, "dimensions", 3)
+
+    def make_zd_ran(rows):
+        raise AssertionError("make_zd ran")
+
+    monkeypatch.setattr(analysis, "make_zd", make_zd_ran)
+    for d in (4, 5):
+        matrix = [[2 * (i == j) for j in range(d)] for i in range(d)]
+        with pytest.raises(ValueError, match="^the root-of-unity test of a matrix of more than 3 dimensions$"):
+            icc_decide_zd(matrix)
+    with pytest.raises(AssertionError, match="make_zd ran"):
+        icc_decide_zd([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    monkeypatch.undo()
+    # a singular matrix within the limit is still refused as not injective
+    with pytest.raises(ValueError, match="^phi must be injective"):
+        icc_decide_zd([[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="^phi must be injective"):
+        icc_decide_zd([[0, 1], [0, 1]])
+
+
 # --- theorem-1 hypothesis ---------------------------------------------------
 
 
@@ -276,33 +301,39 @@ def test_orbit_sample_matches_reference_zd(zd_fib):
                 assert got == reference_orbit_sample(x, radius), (oracle.matrix, text, radius)
 
 
-def letter_of(word):
-    """The ``(sign, x)`` letter of a one-letter word: t^sign, or the base
-    element x with sign 0."""
-    return word.tail[0] if word.tail else (0, word.head)
+# the golden corpus's BS groups on their kernels and Z^2 oracles, and the
+# same BS groups on the protocol loops
+CONJUGATION_ORACLES = [oracle for _, oracle in golden_corpus.oracles()] + [
+    protocol_bs(m, n) for m, n in golden_corpus.BS_GROUPS
+]
 
 
 @st.composite
-def golden_normal_forms(draw):
-    """A golden-corpus oracle and the normal form of a product of up to ten
-    generator letters and powers b^2, b^-5 of the base generators."""
-    _, oracle = draw(st.sampled_from(golden_corpus.oracles()))
+def syllable_conjugations(draw):
+    """An oracle, the normal form of a product of up to ten generator
+    letters and powers b^2, b^-5 of the base generators, and a syllable
+    ``(s, x)`` for u = t^s x, s in {-1, 0, 1}, with x the identity, a base
+    generator or a power of one."""
+    oracle = draw(st.sampled_from(CONJUGATION_ORACLES))
     gens = generator_letter_words(oracle)
     letters = gens + [
         base_word(oracle, oracle.power(g.head, k)) for g in gens[2:] for k in (2, -5)
     ]
-    return oracle, normalize(raw_word(oracle, draw(st.lists(st.sampled_from(letters), max_size=10))))
+    w = normalize(raw_word(oracle, draw(st.lists(st.sampled_from(letters), max_size=10))))
+    powers = [oracle.power(g, k) for g in oracle.generators() for k in (1, -1, 3, -7)]
+    x = draw(st.sampled_from([oracle.identity] + powers))
+    return oracle, w, (draw(st.sampled_from((-1, 0, 1))), x)
 
 
-@given(golden_normal_forms())
-@settings(max_examples=300, deadline=None)
-def test_one_letter_products_of_normal_forms_match_normalize(case):
-    oracle, w = case
-    for gen in generator_letter_words(oracle):
-        left = _nf_lmul_letter(oracle, letter_of(gen), w.key())
-        assert left == normalize(mul(gen, w.word)).key(), (str(gen), str(w))
-        right = _nf_rmul_letter(oracle, w.key(), letter_of(gen))
-        assert right == normalize(mul(w.word, gen)).key(), (str(w), str(gen))
+@given(syllable_conjugations())
+@settings(max_examples=500, deadline=None)
+def test_one_syllable_conjugates_of_normal_forms_match_normalize(case):
+    oracle, w, (sign, x) = case
+    u = base_word(oracle, x)
+    if sign:
+        u = mul(stable_word(oracle, sign), u)
+    got = _nf_conjugate(oracle, (sign, x), w.key())
+    assert got == normalize(conjugate(u, w.word)).key(), (str(u), str(w))
 
 
 def test_orbit_sample_normalizes_once_and_formats_each_element_once(bs23, monkeypatch):
@@ -339,11 +370,11 @@ def test_orbit_sample_refuses_more_than_the_limit(bs23, monkeypatch, capsys):
     assert len(orbit_sample(x, 5)) == 118
     calls = []
 
-    def lmul(*args):
+    def step(*args):
         calls.append(args)
-        return _nf_lmul_letter(*args)
+        return _nf_conjugate(*args)
 
-    monkeypatch.setattr(analysis, "_nf_lmul_letter", lmul)
+    monkeypatch.setattr(analysis, "_nf_conjugate", step)
     for radius in (6, 10**9):
         calls.clear()
         with pytest.raises(ValueError, match=f"radius {radius} holds more than 200 normal forms"):

@@ -27,7 +27,7 @@ from hnnkit import (
     symdiff_ratio,
 )
 from hnnkit.analysis import FolnerChain
-from hnnkit.calculus import _carry, _nf_lmul_letter, _nf_rmul_letter
+from hnnkit.calculus import _carry, _nf_conjugate
 
 from conftest import bs_oracles_strategy, protocol_bs
 
@@ -185,16 +185,17 @@ def kernel_cases(draw):
 
 def kernel_results(oracle, words):
     """Every result the kernels enter, as keys: reduction, products,
-    inverses, normal forms, equality, cyclic reduction, one-letter products,
-    orbits to radius 3 and a Folner ratio."""
+    inverses, normal forms, equality, cyclic reduction, conjugates by one
+    syllable, orbits to radius 3 and a Folner ratio."""
     u, v, short = (HnnWord(oracle, head, tail) for head, tail in words)
     out = []
     for w in (u, v, mul(u, v), mul(v, inv(u))):
         out += [britton_reduce(w).key(), inv(w).key(), normalize(w).key()]
         out += [x.key() for x in cyclic_reduce(w)]
         nf = normalize(w).key()
-        for letter in ((1, 0), (-1, 0), (0, 1), (0, -1), (0, words[2][0])):
-            out += [_nf_lmul_letter(oracle, letter, nf), _nf_rmul_letter(oracle, nf, letter)]
+        for sign in (1, -1, 0):
+            for x in (0, 1, -1, words[2][0]):
+                out.append(_nf_conjugate(oracle, (sign, x), nf))
     out += [equals(u, v), equals(mul(u, v), mul(britton_reduce(u), v)), equals(mul(u, inv(u)), short)]
     out += [[nf.key() for nf in orbit_sample(short, radius)] for radius in range(4)]
     chain = folner_chain_bs(oracle.params.m, oracle.params.n, 4)

@@ -825,8 +825,8 @@ def test_cyclic_reduce_periodic_core_keeps_first_rotation(bs23):
 )
 def test_cyclic_reduce_scans_a_periodic_core_once(monkeypatch, u, p, q):
     # rotations k and k + q of a core of least period q are the same tuple,
-    # so the scan makes rotations q - 1, ..., 1 only, each by two
-    # _nf_lmul_letter products: none for a power of one syllable
+    # so the scan makes rotations q - 1, ..., 1 only, each by one
+    # _nf_conjugate step: none for a power of one syllable
     oracle = make_bs(2, 3)
     w = parse_word(oracle, " ".join([u] * p))
     if q == 1:
@@ -836,17 +836,17 @@ def test_cyclic_reduce_scans_a_periodic_core_once(monkeypatch, u, p, q):
         ref_core, ref_conj = reference_cyclic_reduce(w)
         expected = (ref_core.key(), ref_conj.key())
     calls = []
-    real = calculus._nf_lmul_letter
+    real = calculus._nf_conjugate
 
-    def lmul(*args):
+    def step(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(calculus, "_nf_lmul_letter", lmul)
+    monkeypatch.setattr(calculus, "_nf_conjugate", step)
     core, conj = cyclic_reduce(w)
     assert (core.key(), conj.key()) == expected
     assert len(core.tail) == len(w.tail)
-    assert len(calls) == 2 * (q - 1)
+    assert len(calls) == q - 1
 
 
 def test_cyclic_reduce_checks_the_wrap_join(monkeypatch):

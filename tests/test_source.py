@@ -115,10 +115,9 @@ def test_only_split_decomposes_on_the_left():
 
 def test_only_the_normal_form_steps_carry():
     # the right-to-left carry is calculus._carry, which normalize and
-    # _nf_rmul_letter share, and _nf_lmul_letter splits one head; the
-    # rotation scan of cyclic_reduce and the orbit BFS keep no carry of
-    # their own
-    allowed = {("calculus.py", name) for name in ("_carry", "_nf_lmul_letter")}
+    # _nf_conjugate share, and _nf_conjugate splits one head; the rotation
+    # scan of cyclic_reduce and the orbit BFS keep no carry of their own
+    allowed = {("calculus.py", name) for name in ("_carry", "_nf_conjugate")}
     found = [
         f"{path.name}:{node.lineno} {func.name}"
         for path, tree in parsed_sources()
@@ -323,25 +322,47 @@ def test_zd_eliminates_in_integers_only():
 
 
 def test_orbit_conjugates_normal_forms_by_one_letter():
-    # the orbit BFS of orbit_sample and icc_probe_orbit, and
-    # verify_finite_class, make each conjugate from a normal form by one
-    # letter on each side: their loops build no product, inverse or normal
-    # form from scratch, and the BFS keeps one set
-    tree = dict((path.name, tree) for path, tree in parsed_sources())["analysis.py"]
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the orbit BFS of orbit_sample and icc_probe_orbit, verify_finite_class,
+    # the steps of escape_exponent and the rotation scan of cyclic_reduce
+    # make each conjugate from a normal form by one _nf_conjugate step:
+    # their loops build no product, inverse or normal form from scratch,
+    # escape_exponent builds no product at all, the scan makes one step per
+    # rotation, and the BFS keeps one set
+    sources = dict((path.name, tree) for path, tree in parsed_sources())
+    funcs = {
+        (name, node.name): node
+        for name, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
     banned = {"normalize", "conjugate", "mul", "inv", "_seam", "britton_reduce"}
+    loops = [
+        ("analysis.py", "_orbit_layers"),
+        ("analysis.py", "verify_finite_class"),
+        ("analysis.py", "escape_exponent"),
+        ("calculus.py", "_least_rotation"),
+    ]
+
+    def calls(node, names):
+        return [
+            f"{call.lineno} {call.func.id}"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in names
+        ]
+
     found = [
-        f"analysis.py:{node.lineno} {name}"
-        for name in ("_orbit_layers", "verify_finite_class")
-        for loop in ast.walk(funcs[name])
+        f"{path}:{call} in {name}"
+        for path, name in loops
+        for loop in ast.walk(funcs[path, name])
         if isinstance(loop, ast.For)
-        for node in ast.walk(loop)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in banned
+        for call in calls(loop, banned)
     ]
     assert found == []
+    assert calls(funcs["analysis.py", "escape_exponent"], {"mul", "stable_word", "britton_reduce"}) == []
+    assert len(calls(funcs["calculus.py", "_least_rotation"], {"_nf_conjugate"})) == 1
     sets = [
         node
-        for node in ast.walk(funcs["_orbit_layers"])
+        for node in ast.walk(funcs["analysis.py", "_orbit_layers"])
         if isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))
         or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "dict")
     ]

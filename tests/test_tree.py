@@ -1007,10 +1007,14 @@ def test_axis_walks_past_the_vertex_limit_are_refused(bs23, monkeypatch):
 def test_axis_refusals_come_before_the_rotation_scan(bs23, monkeypatch):
     # the translation length is known after the O(n) peel of the cyclic
     # reduction, so classify and delta refuse past the vertex limit before
-    # the rotation scan, which is O(n^2) on an aperiodic core
+    # the rotation scan, which is O(n^2) on an aperiodic core; so does
+    # axes_overlap, whose conjugator has at least as many stable letters as
+    # the peel removed wrap pinches (5 for shifted)
     gamma = parse_word(bs23, " ".join(f"a b^{k}" for k in range(1, 40)))
+    shifted = parse_word(bs23, f"a^5 {gamma} a^-5")
     cls, ray = classify(gamma), delta(gamma, 100).ray
     assert cls.translation_length == 39 and len(ray) == 1 + 3 * 39
+    overlap = axes_overlap(shifted, gamma, 35)
 
     def scan(*args):
         raise AssertionError("the rotation scan ran")
@@ -1021,14 +1025,28 @@ def test_axis_refusals_come_before_the_rotation_scan(bs23, monkeypatch):
         classify(gamma)
     with pytest.raises(ValueError, match="^the axis ray within radius 100 holds more than 117 vertices$"):
         delta(gamma, 100)
+    # 1 + 2 count labels for count = (ceil((radius + depth) / 39) + 1) 39,
+    # depth the conjugator's stable letters: 79 at radius 0 and depth 0,
+    # 157 up to radius + depth = 39, 235 past it
+    for pair, radius in [((gamma, gamma), 1), ((shifted, gamma), 0)]:
+        with pytest.raises(ValueError, match=f"^the axis within radius {radius} holds more than 117 vertices$"):
+            axes_overlap(*pair, radius)
     # under the limit the scan runs, so the refusals above did skip it
     with pytest.raises(AssertionError, match="the rotation scan ran"):
         delta(gamma, 78)
+    with pytest.raises(AssertionError, match="the rotation scan ran"):
+        axes_overlap(gamma, shifted, 0)
+    monkeypatch.setitem(calculus._LIMITS, "vertices", 157)
+    with pytest.raises(ValueError, match="^the axis within radius 35 holds more than 157 vertices$"):
+        axes_overlap(shifted, gamma, 35)
+    with pytest.raises(AssertionError, match="the rotation scan ran"):
+        axes_overlap(shifted, gamma, 34)
     monkeypatch.setitem(calculus._LIMITS, "vertices", 118)
     with pytest.raises(AssertionError, match="the rotation scan ran"):
         classify(gamma)
     monkeypatch.undo()
     assert classify(gamma) == cls and delta(gamma, 100).ray == ray
+    assert axes_overlap(shifted, gamma, 35) == overlap
 
 
 def test_axes_overlap_rejects_elliptic(bs23):
