@@ -109,8 +109,9 @@ def verify_finite_class(oracle: BaseOracle, words: Sequence[HnnWord]) -> None:
     if (oracle.identity, ()) in keys:
         raise VerificationError("witness set contains the identity")
     for letter in _letters(oracle):
-        for nf in keys:
-            if _nf_conjugate(oracle, letter, nf) not in keys:
+        for head, tail in keys:
+            buf = list(tail)
+            if (_nf_conjugate(oracle, letter, head, buf), tuple(buf)) not in keys:
                 gen = stable_word(oracle, letter[0]) if letter[0] else base_word(oracle, letter[1])
                 raise VerificationError(
                     f"witness set is not closed under conjugation by {format_word(gen)}"
@@ -232,9 +233,10 @@ def _orbit_layers(x: HnnWord) -> Iterator[set]:
     while frontier:
         yield seen
         layer = []
-        for c in frontier:
+        for head, tail in frontier:
             for letter in letters:
-                d = _nf_conjugate(oracle, letter, c)
+                buf = list(tail)
+                d = _nf_conjugate(oracle, letter, head, buf), tuple(buf)
                 if d not in seen:
                     seen.add(d)
                     layer.append(d)
@@ -391,16 +393,18 @@ def escape_exponent(F: Sequence[HnnWord], n_max: int) -> int:
         raise HypothesisViolationError(
             f"BS({m},{n}): {n} divides {m}, so phi^k(b^{n}) stays in H forever"
         )
-    current = [normalize(w).key() for w in words]
-    if (oracle.identity, ()) in current:
+    keys = [normalize(w).key() for w in words]
+    if (oracle.identity, ()) in keys:
         raise ValueError("every element of F must be nontrivial")
+    # each normal form is conjugated in place, its tail one buffer
+    current = [(head, list(tail)) for head, tail in keys]
     a_inv = (-1, oracle.identity)
     run_start: Optional[int] = None
     # the base elements inside at each step, formatted only for a refusal:
     # an answer that is an integer must not fail on an element's text
     trace: list[tuple[int, list]] = []
     for step in range(1, n_max + 1):
-        current = [_nf_conjugate(oracle, a_inv, nf) for nf in current]
+        current = [(_nf_conjugate(oracle, a_inv, head, tail), tail) for head, tail in current]
         inside = [head for head, tail in current if not tail]
         trace.append((step, inside))
         if inside:

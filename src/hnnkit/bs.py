@@ -137,13 +137,16 @@ class BsOracle(BaseOracle):
         super().__init_subclass__(**kwargs)
         cls._kernels = False
 
-    def _carry_kernel(self, head: int, tail: tuple, x: int, canonical: bool) -> tuple:
+    def _carry_kernel(self, head: int, buf, x: int, canonical: bool) -> tuple:
         m, n = self.params.m, self.params.n
         am, an = abs(m), abs(n)
-        pairs = list(tail)
+        # on BS(n, +-n) a canonical syllable passes a carry c in nZ:
+        # t^s (rep + c) = (+-c) t^s rep, so the j syllables left keep their
+        # representatives and c reaches the head as (m/n)^j c
+        through = canonical and am == an
         carry, next_sign = x, 0
-        for j in range(len(pairs) - 1, -1, -1):
-            s, y = pairs[j]
+        for j in range(len(buf) - 1, -1, -1):
+            s, y = buf[j]
             y += carry
             if s == 1:
                 rep = y % am
@@ -153,17 +156,18 @@ class BsOracle(BaseOracle):
                 carry = m * ((y - rep) // n)
             if not rep and s == -next_sign:
                 raise VerificationError("pinch re-created during canonicalization")
-            pairs[j] = (s, rep)
-            if canonical and not carry:
-                return head, tuple(pairs)
+            buf[j] = (s, rep)
+            if canonical and (not carry or through and not carry % an):
+                return head + (-carry if m != n and j % 2 else carry), j
             next_sign = s
-        return head + carry, tuple(pairs)
+        return head + carry, 0
 
     def _seam_kernel(self, head: int, tail: tuple, vhead: int, vtail: tuple) -> tuple:
         m, n = self.params.m, self.params.n
         stack = list(tail)
         s, x = stack.pop() if stack else (0, head)
-        x += vhead
+        if vhead is not None:
+            x += vhead
         for sign, elem in vtail:
             if s == -sign:
                 g, f = (m, n) if s == 1 else (n, m)

@@ -29,11 +29,12 @@ The sign convention of Britton's rule, t^-1 h t = phi(h) for h in H and
 t k t^-1 = phi^-1(k) for k in K, is written out once: ``_is_pinch`` tests
 membership, ``_unpinch`` also applies phi or phi^-1, and ``_split`` is the
 carry step of a normal form, which splits a syllable by its coset and maps
-the subgroup part across the stable letter; ``_carry`` runs it right to left
-for :func:`normalize` and ``_nf_conjugate``.  ``_nf_conjugate`` turns a
-normal form into that of its conjugate by one syllable t^s x;
-:func:`cyclic_reduce` builds its rotations, and :mod:`hnnkit.analysis` its
-conjugacy orbits, finite-class checks and escape exponents, by it.
+the subgroup part across the stable letter; ``_carry`` runs it right to left,
+in place over a list, for :func:`normalize` and ``_nf_conjugate``.
+``_nf_conjugate`` turns a normal form into that of its conjugate by one
+syllable t^s x; :func:`cyclic_reduce` builds its rotations, and
+:mod:`hnnkit.analysis` its conjugacy orbits, finite-class checks and escape
+exponents, by it.
 
 The two loops every word operation runs, the carry ``_carry`` and the pinch
 pass ``_seam`` (``_reduce`` is its entry for a whole token stream), call the
@@ -394,73 +395,82 @@ def _split(oracle: BaseOracle, sign: int, x, next_sign: int):
     return carry, rep
 
 
-def _nf_conjugate(oracle: BaseOracle, syllable: tuple[int, Any], nf: tuple) -> tuple:
-    """The normal form ``(head, tail)`` of u w u^-1 for the normal form
-    ``nf`` of w and the syllable ``(sign, x)``, u = t^sign x, with sign 0
-    for the base element x alone.  Only the two ends change (Britton's
-    lemma).  x joins the head and x^-1 starts a :func:`_carry`, which stops
-    at its first identity carry.  Then t^sign cancels the first stable
-    letter when the two pinch around the head, and splits the head into a
-    carry and a representative otherwise; t^-sign cancels the last one when
-    they pinch, which for a representative means it is the identity, and is
-    appended otherwise."""
+def _nf_conjugate(oracle: BaseOracle, syllable: tuple[int, Any], head, buf) -> Any:
+    """Conjugate the normal form ``(head, buf)`` of w, its tail a list
+    rewritten in place, into that of u w u^-1 for the syllable ``(sign, x)``,
+    u = t^sign x, with sign 0 for the base element x alone; returns the new
+    head.  Only the two ends change (Britton's lemma).  x joins the head and
+    x^-1 starts a :func:`_carry`, which stops at its first identity carry,
+    and on BS(n, +-n) after one step; on BS(2, 3) it can take O(n) steps.
+    Then t^sign cancels the first stable letter when the two pinch around
+    the head, and splits the head into a carry and a representative
+    otherwise; t^-sign cancels the last one when they pinch, which for a
+    representative means it is the identity, and is appended otherwise."""
     sign, x = syllable
-    head, tail = nf
     if not oracle.is_identity(x):
-        head, tail = _carry(oracle, oracle.mul(x, head), tail, oracle.inv(x), canonical=True)
+        head, _ = _carry(oracle, oracle.mul(x, head), buf, oracle.inv(x), canonical=True)
     if not sign:
-        return head, tail
-    y = _unpinch(oracle, sign, head, tail[0][0]) if tail else None
+        return head
+    y = _unpinch(oracle, sign, head, buf[0][0]) if buf else None
     if y is None:
-        head, rep = _split(oracle, sign, head, tail[0][0] if tail else 0)
-        tail = ((sign, rep),) + tail
+        head, rep = _split(oracle, sign, head, buf[0][0] if buf else 0)
+        buf.insert(0, (sign, rep))
     else:
-        head, tail = oracle.mul(y, tail[0][1]), tail[1:]
-    if tail and tail[-1][0] == sign and oracle.is_identity(tail[-1][1]):
-        return head, tail[:-1]
-    return head, tail + ((-sign, oracle.identity),)
+        head = oracle.mul(y, buf[0][1])
+        del buf[0]
+    if buf and buf[-1][0] == sign and oracle.is_identity(buf[-1][1]):
+        buf.pop()
+    else:
+        buf.append((-sign, oracle.identity))
+    return head
 
 
-def _carry(oracle: BaseOracle, head, tail: tuple, x, canonical: bool) -> tuple:
-    """The normal form of the pinch-free word ``(head, tail)`` times the base
-    element x, by one right-to-left pass: each lam_i times the carry (x at
-    first) is split by :func:`_split`, its representative replaces it and
-    the carry moves left.  When the tail already holds representatives
-    (``canonical``, as in :func:`_nf_conjugate`), the pass stops at the
-    first identity carry; :func:`normalize` runs it to the head."""
+def _carry(oracle: BaseOracle, head, buf, x, canonical: bool) -> tuple:
+    """The pinch-free word ``(head, buf)`` times the base element x, by one
+    right-to-left pass over the mutable tail ``buf``, rewritten in place:
+    each lam_i times the carry (x at first) is split by :func:`_split`, its
+    representative replaces it and the carry moves left.  Returns the new
+    head and the index j from which the pass split the syllables, so it
+    made len(buf) - j carry steps.  When the tail already holds
+    representatives (``canonical``, as in :func:`_nf_conjugate`), the pass
+    stops at the first identity carry; :func:`normalize` runs it to the
+    head.  ``BsOracle``'s kernel also stops once a canonical carry lies in
+    nZ on BS(n, +-n), which passes every representative unchanged, so there
+    it takes one step."""
     if oracle._kernels:
-        return oracle._carry_kernel(head, tail, x, canonical)
-    pairs = list(tail)
+        return oracle._carry_kernel(head, buf, x, canonical)
     carry, next_sign = x, 0
-    for j in range(len(pairs) - 1, -1, -1):
-        s, elem = pairs[j]
+    for j in range(len(buf) - 1, -1, -1):
+        s, elem = buf[j]
         carry, rep = _split(oracle, s, oracle.mul(elem, carry), next_sign)
-        pairs[j] = (s, rep)
+        buf[j] = (s, rep)
         if canonical and oracle.is_identity(carry):
-            return head, tuple(pairs)
+            return head, j
         next_sign = s
-    return oracle.mul(head, carry), tuple(pairs)
+    return oracle.mul(head, carry), 0
 
 
 def _reduce(oracle: BaseOracle, head, tail):
     """One full leftmost-innermost pinch-removal pass over a token stream:
-    :func:`_seam` from the identity word."""
-    return _seam(oracle, oracle.identity, (), head, tail)
+    :func:`_seam` of its stable letters onto its head."""
+    return _seam(oracle, head, (), None, tail)
 
 
 def _seam(oracle: BaseOracle, head, tail, vhead, vtail):
     """The pinch pass: the pinch-free word ``(head, tail)`` times the token
-    stream ``(vhead, vtail)``.  Each stable letter of the stream is pushed
-    onto a stack that starts as the left word, and cancels the top letter
-    ``t^s x`` when the two pinch around x; the top is held apart, with
-    s = 0 for the head, which never pinches.  For a pinch-free stream only
-    letters at the seam cancel (Britton's lemma)."""
+    stream ``(vhead, vtail)``, with vhead None for a stream that opens with
+    its first stable letter, as in :func:`_reduce`.  Each stable letter of
+    the stream is pushed onto a stack that starts as the left word, and
+    cancels the top letter ``t^s x`` when the two pinch around x; the top
+    is held apart, with s = 0 for the head, which never pinches.  For a
+    pinch-free stream only letters at the seam cancel (Britton's lemma)."""
     if oracle._kernels:
         return oracle._seam_kernel(head, tail, vhead, vtail)
     omul = oracle.mul
     stack = list(tail)
     s, x = stack.pop() if stack else (0, head)
-    x = omul(x, vhead)
+    if vhead is not None:
+        x = omul(x, vhead)
     for sign, elem in vtail:
         y = _unpinch(oracle, s, x, sign)
         if y is not None:
@@ -536,8 +546,9 @@ def normalize(w: HnnWord) -> NormalForm:
     ``_split`` checks that."""
     oracle = w.oracle
     r = britton_reduce(w)
-    head, tail = _carry(oracle, r.head, r.tail, oracle.identity, canonical=False)
-    return NormalForm(_reduced_word(oracle, head, tail))
+    buf = list(r.tail)
+    head, _ = _carry(oracle, r.head, buf, oracle.identity, canonical=False)
+    return NormalForm(_reduced_word(oracle, head, tuple(buf)))
 
 
 def equals(u: HnnWord, v: HnnWord) -> bool:
@@ -564,8 +575,10 @@ def cyclic_reduce(w: HnnWord) -> tuple[HnnWord, HnnWord]:
     conjugated by the prefix of c up to syllable i + k.
 
     Cost: the peel (see :func:`_peel`) is O(n).  The rotation scan (see
-    :func:`_least_rotation`) makes O(n) carry steps when carries die out
-    within a bounded distance and O(n^2) at worst.
+    :func:`_least_rotation`) makes O(n) carry steps on BS(n, +-n), where a
+    carry crosses the core at once, and where carries die out within a
+    bounded distance; O(n^2) at worst, as on BS(2, 3) cores whose carries
+    never die.
     """
     return _core(*_peel(w))
 
@@ -605,26 +618,31 @@ def _least_rotation(oracle: BaseOracle, syllables: tuple) -> tuple[int, Any, tup
     whose normal form ``(head, tail)`` has the least :func:`format_word`
     text (the least k on a tie).
 
-    Rotation 0 is normalized in full, then rotations n-1, ..., 1, each
-    conjugated from the one before by its first syllable t^s lam: rotation
-    k is t^s lam (rotation k + 1) lam^-1 t^-s, one :func:`_nf_conjugate`
-    step, whose carry of lam^-1 stops at its first identity carry.
-    Rotation k + q is rotation k for the least period q of the syllables.
+    One buffer holds the tail for the whole scan.  Rotation 0 is carried
+    in full, then rotations n-1, ..., 1, each conjugated in place from the
+    one before by its first syllable t^s lam: rotation k is
+    t^s lam (rotation k + 1) lam^-1 t^-s, one :func:`_nf_conjugate` step,
+    whose carry of lam^-1 stops at its first identity carry.  So the scan
+    is linear on BS(n, +-n), where that carry takes one step, and still
+    quadratic on BS(2, 3) cores whose carries never die.  The tail is
+    copied only when a rotation becomes the best.  Rotation k + q is
+    rotation k for the least period q of the syllables.
     """
     # every adjacency but the wrap join lies in the pinch-free core
     if _is_pinch(oracle, syllables[-1][0], syllables[-1][1], syllables[0][0]):
         raise VerificationError("rotation of a cyclic core must stay reduced")
     n = len(syllables)
     q = next(q for q in range(1, n + 1) if n % q == 0 and syllables[q:] == syllables[: n - q])
-    nf = normalize(_reduced_word(oracle, oracle.identity, syllables)).key()
-    best = (0, *nf)
+    buf = list(syllables)
+    head, _ = _carry(oracle, oracle.identity, buf, oracle.identity, canonical=False)
+    best = (0, head, tuple(buf))
     for k in range(q - 1, 0, -1):
-        nf = _nf_conjugate(oracle, syllables[k], nf)
-        order = _compare_text(_format_chunks(oracle, *nf), _format_chunks(oracle, *best[1:]))
+        head = _nf_conjugate(oracle, syllables[k], head, buf)
+        order = _compare_text(_format_chunks(oracle, head, buf), _format_chunks(oracle, *best[1:]))
         # rotation 0 came first, then the k run down: a tie goes to k unless
         # the best is rotation 0
         if order < 0 or order == 0 and best[0]:
-            best = (k, *nf)
+            best = (k, head, tuple(buf))
     return best
 
 
@@ -695,15 +713,16 @@ def fixed_by_some_phi_j(oracle: BaseOracle, x, j_max: int) -> Optional[int]:
 
 @lru_cache(maxsize=64)
 def _grammar_for(stable_letter: str, base_letters: tuple):
-    """A compiled pattern for one item of word text, and each letter's
-    ``(kind, value)``.  An item is whitespace, then either a term (a letter,
-    then optionally ``^`` and an exponent of ASCII digits) or one stray
-    visible character, so that ``findall`` reads a text item by item.
-    Longer names are tried first, so that e.g. "e12" is not read as "e1"
-    "2"; of equal names the first listed wins.  Kept for oracles with the
-    same letters, not only per oracle: other libraries can evict the
-    pattern from the re module's own cache, and compiling it again costs
-    far more than a parse."""
+    """A compiled pattern for one item of word text, each letter's
+    ``(kind, value)``, and the pattern of the cuts between two items that
+    :func:`_window_end` looks for.  An item is whitespace, then either a
+    term (a letter, then optionally ``^`` and an exponent of ASCII digits)
+    or one stray visible character, so that ``findall`` reads a text item
+    by item.  Longer names are tried first, so that e.g. "e12" is not read
+    as "e1" "2"; of equal names the first listed wins.  Kept for oracles
+    with the same letters, not only per oracle: other libraries can evict
+    the pattern from the re module's own cache, and compiling it again
+    costs far more than a parse."""
     letters = {stable_letter: ("stable", None)}
     letters.setdefault("t", ("stable", None))
     letters.setdefault("1", ("identity", None))
@@ -713,26 +732,29 @@ def _grammar_for(stable_letter: str, base_letters: tuple):
     pattern = re.compile(
         rf"\s*(?:(?P<name>{names})(?P<caret>\s*\^\s*(?P<exp>[+-]?[0-9]+)?)?|(?P<stray>\S))"
     )
-    return pattern, letters
+    # a cut is whitespace with no '^' on either side, as a term holds
+    # whitespace only next to its '^'; or, right after a visible character,
+    # a character that only ever opens an item: not whitespace, a digit,
+    # '^', a sign, nor a letter name's second or later character
+    inner = re.escape("".join(sorted({c for name in letters for c in name[1:]})))
+    cut = re.compile(rf"(?<=[^\s^])\s+(?=[^\s^])|(?<=\S)(?=[^\s0-9^+\-{inner}])")
+    return pattern, letters, cut
 
 
 # parse_word reads a long text in windows of about this many characters, so
 # that the items of one window are all it holds at once
 _WINDOW = 1 << 15
-# whitespace with no '^' on either side: a term holds whitespace only next
-# to its '^', so this lies between two terms
-_CUT = re.compile(r"(?<=[^\s^])\s+(?=[^\s^])")
 
 
-def _window_end(pattern: re.Pattern, text: str, start: int) -> int:
+def _window_end(pattern: re.Pattern, cut: re.Pattern, text: str, start: int) -> int:
     """The end of the window of ``text`` that starts at ``start``, between
-    two items: the first cut at least ``_WINDOW`` characters on, or, where
-    none follows within another ``_WINDOW``, the end of the first item that
-    reaches that far."""
+    two items: the first ``cut`` at least ``_WINDOW`` characters on, or,
+    where none follows within another ``_WINDOW``, the end of the first
+    item that reaches that far."""
     goal = start + _WINDOW
-    cut = _CUT.search(text, goal, goal + _WINDOW)
-    if cut:
-        return cut.start()
+    found = cut.search(text, goal, goal + _WINDOW)
+    if found:
+        return found.start()
     return next((m.end() for m in pattern.finditer(text, start) if m.end() >= goal), len(text))
 
 
@@ -754,7 +776,7 @@ def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     One ``findall`` per window reads the items; the last letter ``t^s x``
     is held apart, with s = 0 for the head, and a stable letter of the
     opposite sign pushed after it is tested once for a pinch around x."""
-    pattern, letters = oracle._grammar
+    pattern, letters, cut = oracle._grammar
     omul, opower = oracle.mul, oracle.power
     e = oracle.identity
     head, tail = e, []
@@ -762,7 +784,7 @@ def parse_word(oracle: BaseOracle, text: str) -> HnnWord:
     pinched = False
     start, n, limit = 0, len(text), _LIMITS["stable letters"]
     while True:
-        end = n if n - start <= _WINDOW else _window_end(pattern, text, start)
+        end = n if n - start <= _WINDOW else _window_end(pattern, cut, text, start)
         items = pattern.findall(text, start, end)
         rest = iter(items)
         for name, caret, digits, stray in rest:

@@ -1,3 +1,5 @@
+import math
+import random
 import time
 
 import pytest
@@ -192,10 +194,11 @@ def kernel_results(oracle, words):
     for w in (u, v, mul(u, v), mul(v, inv(u))):
         out += [britton_reduce(w).key(), inv(w).key(), normalize(w).key()]
         out += [x.key() for x in cyclic_reduce(w)]
-        nf = normalize(w).key()
+        head, tail = normalize(w).key()
         for sign in (1, -1, 0):
             for x in (0, 1, -1, words[2][0]):
-                out.append(_nf_conjugate(oracle, (sign, x), nf))
+                buf = list(tail)
+                out.append((_nf_conjugate(oracle, (sign, x), head, buf), tuple(buf)))
     out += [equals(u, v), equals(mul(u, v), mul(britton_reduce(u), v)), equals(mul(u, inv(u)), short)]
     out += [[nf.key() for nf in orbit_sample(short, radius)] for radius in range(4)]
     chain = folner_chain_bs(oracle.params.m, oracle.params.n, 4)
@@ -225,4 +228,40 @@ def test_both_paths_refuse_a_pinched_tail(oracle):
     # b^2 in K = 2Z splits to the identity representative before t^-1, and
     # both loops refuse with the same error
     with pytest.raises(VerificationError, match="^pinch re-created during canonicalization$"):
-        _carry(oracle, 0, ((1, 0), (-1, 5)), 0, False)
+        _carry(oracle, 0, [(1, 0), (-1, 5)], 0, False)
+
+
+def far_carry_core(m, n, size, seed):
+    """``size`` syllables with b-exponents up to 10^30, each 1 mod m and n,
+    so in neither subgroup: no pinch, and no carry of the general rule
+    dies."""
+    rng = random.Random(seed)
+    lcm = math.lcm(m, n)
+    return tuple((rng.choice((1, -1)), lcm * rng.randint(-10**29, 10**29) + 1) for _ in range(size))
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, -2)])
+def test_rotation_scan_carry_steps_are_linear_on_bs_n_n(monkeypatch, m, n):
+    # the carry steps of cyclic_reduce, summed from where the kernel
+    # reports it stopped: on BS(n, +-n) a carry lies in nZ after one step
+    # and passes the rest unchanged, so doubling the core doubles the count
+    # (999 -> 1,999 steps for 500 -> 1,000 syllables), where every rotation
+    # carried to the head before (a ratio of 4).  On BS(2, 3) such cores
+    # still take 250,000 -> 1,000,000 steps, a ratio of 4.0.
+    steps = []
+    real = BsOracle._carry_kernel
+
+    def kernel(self, head, buf, x, canonical):
+        length = len(buf)
+        head, j = real(self, head, buf, x, canonical)
+        steps.append(length - j)
+        return head, j
+
+    monkeypatch.setattr(BsOracle, "_carry_kernel", kernel)
+    counts = []
+    for size in (500, 1000):
+        steps.clear()
+        core, _ = cyclic_reduce(HnnWord(make_bs(m, n), 0, far_carry_core(m, n, size, f"{m} {n} {size}")))
+        assert len(core.tail) == size
+        counts.append(sum(steps))
+    assert counts[1] <= 2.5 * counts[0]

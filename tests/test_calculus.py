@@ -78,6 +78,26 @@ def test_reduce_marks_a_pinch_free_word(bs23, monkeypatch):
     assert calls == []
 
 
+def test_reduce_multiplies_only_at_pinches(monkeypatch):
+    # the pinch pass of _reduce starts from the word's own head, so on a
+    # protocol oracle a word with no pinch costs no base multiplication,
+    # and one pinch costs the two that join its ends
+    calls = []
+    real = type(ZD_FIB).mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(type(ZD_FIB), "mul", counted)
+    w = HnnWord(ZD_FIB, (1, 0), ((1, (0, 1)), (1, (2, 0)), (1, (0, 0))))
+    assert britton_reduce(w) is w and calls == []
+    # t^-1 x t is a pinch for every x, as H = Z^2
+    w = HnnWord(ZD_FIB, (1, 0), ((-1, (0, 1)), (-1, (2, 0)), (1, (0, 1))))
+    assert britton_reduce(w).key() == ((1, 0), ((-1, (4, 4)),))
+    assert len(calls) == 2
+
+
 def test_reduce_cascades(bs23):
     w = parse_word(bs23, "a^-1 a^-1 b^9 a a")
     assert format_word(britton_reduce(w)) == "b^4"
@@ -478,6 +498,26 @@ def test_parse_word_matches_the_match_loop(window, oracle, text):
         assert_parse_matches_the_match_loop(oracle, text)
 
 
+class LongNames(BsOracle):
+    """BS(2, 3) with the base letters b, bc = b^2 and c = b^3: c opens an
+    item only where it does not end the name bc."""
+
+    def base_letters(self):
+        return {"b": 1, "bc": 2, "c": 3}
+
+
+@given(st.sampled_from(WINDOW_ORACLES + [LongNames(BsParams(2, 3))]),
+       st.lists(st.sampled_from(WINDOW_PIECES + ["e1e12", "b^12a", "1b", "bc", "c"]), max_size=24).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_window_cuts_fall_between_items(oracle, text):
+    # a window ends at whitespace between terms or, in a text without it,
+    # at a character that only ever opens an item, found without reading
+    # the window item by item: every such cut is where an item ends
+    pattern, _, cut = oracle._grammar
+    ends = {m.end() for m in pattern.finditer(text)}
+    assert {m.start() for m in cut.finditer(text)} <= ends
+
+
 @pytest.mark.parametrize("term", ["a ^ 2", "a^ -5", "a ^-3 b", "b^-4 a^-1", "b a^6", "x", "a^ y"])
 def test_parse_cuts_windows_between_terms(bs23, monkeypatch, term):
     # every offset of the term from the first cut after 8 characters
@@ -809,6 +849,66 @@ def test_cyclic_reduce_matches_reference(w):
 @settings(max_examples=100, deadline=None)
 def test_cyclic_reduce_matches_reference_over_zd(w):
     check_powers(w)
+
+
+def scan_core(m, n, length, rng, exp=10**30):
+    """A pinch-free cyclic core of BS(m, n), |m| = |n| = g: ``length``
+    syllables with b-exponents up to ``exp`` in size, each outside gZ where
+    the next sign, read around the end, is the opposite one."""
+    g = abs(n)
+    signs = [rng.choice((1, -1)) for _ in range(length)]
+    return tuple(
+        (s, g * rng.randint(-exp // g, exp // g) + rng.randint(s == -signs[(i + 1) % length], g - 1))
+        for i, s in enumerate(signs)
+    )
+
+
+def pushed(m, n, tail, rng):
+    """The same element as ``tail`` (head 1) with another syllable form: at
+    each inner stable letter, t b^(m q) = b^(n q) t, resp.
+    t^-1 b^(n q) = b^(m q) t^-1, moves a multiple across it."""
+    pairs = [list(pair) for pair in tail]
+    for i in range(1, len(pairs)):
+        q = rng.randint(-10**29, 10**29)
+        g, f = (m, n) if pairs[i][0] == 1 else (n, m)
+        pairs[i][1] -= g * q
+        pairs[i - 1][1] += f * q
+    return tuple(map(tuple, pairs))
+
+
+def scan_cases(m, n):
+    """Random, periodic and tied cores of BS(m, n) up to about 200
+    syllables, and one with wrap pinches around it; a tied core is T T'
+    for T' another syllable form of T, so rotations 0 and |T| have the same
+    normal form although no shorter period repeats the syllables."""
+    rng = random.Random(f"scan {m} {n}")
+    cases = [scan_core(m, n, length, rng) for length in (1, 2, 3, 17, 200)]
+    cases += [scan_core(m, n, length, rng, exp=9) for length in (40, 200)]
+    cases += [scan_core(m, n, size, rng) * (200 // size) for size in (1, 3, 7, 40)]
+    for size in (1, 5, 100):
+        core = scan_core(m, n, size, rng)
+        cases.append(core + pushed(m, n, core, rng))
+    cases = [(0, tail) for tail in cases]
+    oracle = make_bs(m, n)
+    g, core = (HnnWord(oracle, 0, scan_core(m, n, size, rng)) for size in (5, 60))
+    w = conjugate(g, core)
+    return cases + [(w.head, w.tail)]
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, -3), (2, -2), (2, 2)])
+def test_rotation_scan_matches_the_protocol_and_the_reference(m, n):
+    # on BS(n, +-n) BsOracle's carry kernel stops as soon as the carry lies
+    # in nZ; the protocol loops of a subclass take every step, and the
+    # reference normalizes every rotation in full: the cores and the
+    # conjugators must be the same, byte for byte
+    kernel, protocol = make_bs(m, n), protocol_bs(m, n)
+    for head, tail in scan_cases(m, n):
+        results = [
+            [(format_word(x), x.key()) for x in compute(HnnWord(oracle, head, tail))]
+            for oracle, compute in [(kernel, cyclic_reduce), (protocol, cyclic_reduce),
+                                    (kernel, reference_cyclic_reduce)]
+        ]
+        assert results[0] == results[1] == results[2], (head, tail)
 
 
 def test_cyclic_reduce_periodic_core_keeps_first_rotation(bs23):
